@@ -81,9 +81,10 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        self.counts[Self::bucket_index(v)] += n;
-        self.count += n;
-        self.sum += v.saturating_mul(n);
+        let bucket = &mut self.counts[Self::bucket_index(v)];
+        *bucket = bucket.saturating_add(n);
+        self.count = self.count.saturating_add(n);
+        self.sum = self.sum.saturating_add(v.saturating_mul(n));
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -91,15 +92,15 @@ impl Histogram {
     /// Folds another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.count = self.count.saturating_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
-    /// Number of recorded samples.
+    /// Number of recorded samples (saturating).
     pub fn count(&self) -> u64 {
         self.count
     }
@@ -133,7 +134,7 @@ impl Histogram {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
+            seen = seen.saturating_add(c);
             if seen >= rank {
                 // Never report beyond the observed maximum: a p99 of
                 // "up to 127" when the largest sample was 70 reads as
@@ -363,6 +364,36 @@ mod tests {
         c.merge(&b);
         assert_eq!(c.count(), 6);
         assert_eq!(c.sum(), 30);
+    }
+
+    #[test]
+    fn record_saturates_sum_and_count() {
+        let mut h = Histogram::new();
+        h.record(u64::MAX);
+        h.record(1);
+        assert_eq!(h.sum(), u64::MAX);
+        assert_eq!(h.count(), 2);
+        h.record_n(7, u64::MAX);
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.sum(), u64::MAX);
+        assert_eq!(h.max(), u64::MAX);
+        assert_eq!(h.min(), 1);
+        assert_eq!(h.p99(), 7);
+    }
+
+    #[test]
+    fn merge_saturates_sum_and_count() {
+        let mut a = Histogram::new();
+        a.record_n(u64::MAX, u64::MAX);
+        let mut b = Histogram::new();
+        b.record(2);
+        a.merge(&b);
+        assert_eq!(a.count(), u64::MAX);
+        assert_eq!(a.sum(), u64::MAX);
+        b.merge(&a);
+        assert_eq!(b.count(), u64::MAX);
+        assert_eq!(b.sum(), u64::MAX);
+        assert_eq!(b.nonzero_buckets(), vec![(3, 2), (u64::MAX, u64::MAX)]);
     }
 
     #[test]

@@ -167,11 +167,13 @@ impl HsDescriptor {
         let publication_time: u64 = pub_time
             .parse()
             .map_err(|_| ParseDescError::BadEncoding("publication-time"))?;
-        let n: usize = ip_count
+        let n: u64 = ip_count
             .parse()
             .map_err(|_| ParseDescError::BadEncoding("introduction-points"))?;
 
-        let mut introduction_points = Vec::with_capacity(n);
+        // The count is untrusted: grow with the lines actually present
+        // rather than reserving `n` up front.
+        let mut introduction_points = Vec::new();
         for _ in 0..n {
             let fp_hex = take(&mut lines, "introduction-point ")?;
             let digest = Digest::parse_hex(&fp_hex)
@@ -317,6 +319,22 @@ mod tests {
         let desc = sample();
         let doc = desc.encode().replace("version 2", "version 3");
         assert_eq!(HsDescriptor::decode(&doc), Err(ParseDescError::BadVersion));
+    }
+
+    #[test]
+    fn oversized_intro_point_count_is_an_error() {
+        let doc = sample().encode();
+        for count in ["18446744073709551615", "1000000000000"] {
+            let forged = doc.replace(
+                "introduction-points 3\n",
+                &format!("introduction-points {count}\n"),
+            );
+            assert_ne!(forged, doc);
+            assert_eq!(
+                HsDescriptor::decode(&forged),
+                Err(ParseDescError::MissingField("introduction-point "))
+            );
+        }
     }
 
     #[test]

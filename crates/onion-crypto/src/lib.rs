@@ -60,7 +60,14 @@ pub use u160::U160;
 mod proptests {
     use proptest::prelude::*;
 
-    use crate::{base32, sha1::Sha1, u160::U160};
+    use crate::hsdesc::HsDescriptor;
+    use crate::{base32, sha1::Sha1, u160::U160, Digest, Fingerprint, Replica};
+
+    fn intro_points(raw: Vec<[u8; 20]>) -> Vec<Fingerprint> {
+        raw.into_iter()
+            .map(|b| Fingerprint::from_digest(Digest::from_bytes(b)))
+            .collect()
+    }
 
     proptest! {
         #[test]
@@ -113,6 +120,43 @@ mod proptests {
         fn u160_ordering_matches_byte_ordering(a in any::<[u8; 20]>(), b in any::<[u8; 20]>()) {
             let (ua, ub) = (U160::from_bytes(&a), U160::from_bytes(&b));
             prop_assert_eq!(ua.cmp(&ub), a.cmp(&b));
+        }
+
+        #[test]
+        fn hsdesc_create_encode_decode_roundtrips(
+            key in proptest::collection::vec(any::<u8>(), 0..96),
+            replica in 0u8..2,
+            now in 0u64..u64::MAX / 2,
+            intro in proptest::collection::vec(any::<[u8; 20]>(), 0..10),
+        ) {
+            let desc = HsDescriptor::create(key, Replica::new(replica), now, intro_points(intro));
+            prop_assert!(desc.is_consistent());
+            prop_assert_eq!(HsDescriptor::decode(&desc.encode()), Ok(desc));
+        }
+
+        #[test]
+        fn hsdesc_forged_intro_point_count_never_panics(
+            key in proptest::collection::vec(any::<u8>(), 1..48),
+            intro in proptest::collection::vec(any::<[u8; 20]>(), 0..6),
+            small in 0u64..8,
+            count in any::<u64>(),
+        ) {
+            let desc = HsDescriptor::create(key, Replica::new(0), 1_359_936_000, intro_points(intro));
+            let doc = desc.encode();
+            let real = format!("introduction-points {}\n", desc.introduction_points.len());
+            // A forged count decodes only when it happens to be the
+            // true one; every other value is a typed error.
+            for forged in [small, count] {
+                let forged_doc =
+                    doc.replacen(&real, &format!("introduction-points {forged}\n"), 1);
+                match HsDescriptor::decode(&forged_doc) {
+                    Ok(parsed) => {
+                        prop_assert_eq!(forged, desc.introduction_points.len() as u64);
+                        prop_assert_eq!(parsed, desc.clone());
+                    }
+                    Err(_) => prop_assert_ne!(forged, desc.introduction_points.len() as u64),
+                }
+            }
         }
     }
 }

@@ -4,8 +4,7 @@
 //! landscaped serve [--addr A] [--scale F] [--seed N] [--threads N]
 //!                  [--max-inflight N] [--wall-ms N] [--sim-hours N]
 //!                  [--cache-cap N] [--cache-bytes N] [--faults PROFILE]
-//!                  [--workers N] [--queue N] [--pool-metrics on|off]
-//!                  [--tick-every H/MS]
+//!                  [--workers N] [--queue N] [--tick-every H/MS]
 //!                  [--port-file P] [--log off|progress|debug]
 //! landscaped script <addr>       # drive a stdin transcript
 //! landscaped dump-trace <addr> <file>   # TRACE DUMP → Chrome JSON
@@ -46,8 +45,8 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:\n  landscaped serve [--addr A] [--scale F] [--seed N] [--threads N] \
 [--max-inflight N] [--wall-ms N] [--sim-hours N] [--cache-cap N] [--cache-bytes N] \
-[--faults PROFILE] [--workers N] [--queue N] [--pool-metrics on|off] \
-[--tick-every H/MS] [--port-file P] [--log off|progress|debug]\n  \
+[--faults PROFILE] [--workers N] [--queue N] [--tick-every H/MS] \
+[--port-file P] [--log off|progress|debug]\n  \
 landscaped script <addr>\n  \
 landscaped dump-trace <addr> <file>";
 
@@ -98,13 +97,6 @@ fn serve(args: &[String]) -> Result<(), String> {
             "--faults" => cfg.study.apply_fault_profile(take_value(flag, &mut it)?)?,
             "--workers" => cfg.workers = parse(flag, take_value(flag, &mut it)?)?,
             "--queue" => cfg.pool_queue = parse(flag, take_value(flag, &mut it)?)?,
-            "--pool-metrics" => {
-                cfg.pool_metrics = match take_value(flag, &mut it)?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("bad value for --pool-metrics: {other}")),
-                }
-            }
             "--tick-every" => cfg.tick_every = Some(parse_tick_every(take_value(flag, &mut it)?)?),
             "--port-file" => port_file = Some(take_value(flag, &mut it)?.clone()),
             "--log" => {

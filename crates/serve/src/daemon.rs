@@ -36,11 +36,14 @@
 //!
 //! All daemon counters live in a wall-clock [`WallRegistry`]
 //! ([`Telemetry`]), strictly separate from the deterministic sim-clock
-//! metrics inside stage timings. Plain `METRICS` renders the frozen
-//! legacy `key=value` lines from the same handles (byte-identical to
-//! the pre-telemetry daemon); `METRICS PROM` renders the whole
-//! registry — including admission-wait / query-latency / per-stage
-//! histograms and scrape-time gauges — as Prometheus text exposition.
+//! metrics inside stage timings. Plain `METRICS` is the deterministic
+//! view: a fixed set of `key=value` counters, read from the same
+//! handles, whose values depend only on the requests served — so
+//! transcripts and benchmark ledgers can compare them exactly.
+//! `METRICS PROM` renders the whole registry — including
+//! admission-wait / query-latency / per-stage histograms, pool
+//! families and scrape-time gauges, some of which race with
+//! connection teardown — as Prometheus text exposition.
 //! Each `RUN_UNTIL` additionally records a wall-clock span tree
 //! (parse → admission → stage attempts → render) into the
 //! [`FlightRecorder`], queryable via `TRACE <id>` / `TRACE DUMP` /
@@ -64,7 +67,7 @@ use obs::trace::{EventKind, Span, TraceEvent};
 use obs::{Logger, WallCounter, WallGauge, WallHistogram, WallRegistry};
 use wave::mix2;
 
-use crate::executor::{Executor, PoolMetrics};
+use crate::executor::Executor;
 use crate::flight::{FlightRecorder, QueryOutcome, QueryRecord};
 use crate::protocol::{parse_request, LineReader, Request, Target, TraceQuery};
 
@@ -115,10 +118,6 @@ pub struct DaemonConfig {
     /// Connections allowed to wait beyond the busy workers before the
     /// accept loop sheds a connection-level `BUSY`.
     pub pool_queue: usize,
-    /// Whether the pool's telemetry families are registered in the
-    /// wall registry (and therefore rendered by `METRICS PROM`).
-    /// Disable to reproduce a pre-pool exposition byte-for-byte.
-    pub pool_metrics: bool,
     /// Optional background ticker publishing a new epoch on a cadence.
     pub tick_every: Option<TickEvery>,
     /// Test-only chaos hook: the first admitted `RUN_UNTIL` panics
@@ -148,7 +147,6 @@ impl Default for DaemonConfig {
             flight_errors: 16,
             workers: 4,
             pool_queue: 16,
-            pool_metrics: true,
             tick_every: None,
             chaos_panic_once: false,
             chaos_tick_hold_ms: 0,
@@ -170,12 +168,12 @@ struct Epoch {
 }
 
 /// The daemon's wall-clock telemetry plane: one [`WallRegistry`] plus
-/// cached handles for the hot-path counters. The legacy `METRICS`
+/// cached handles for the hot-path counters. The plain `METRICS`
 /// reply and the `METRICS PROM` exposition read the *same* handles, so
 /// the two views can never disagree.
 ///
 /// Nothing in here may feed a deterministic artifact or baseline —
-/// wall values are masked by the telemetry experiment script.
+/// wall values are masked by the daemon experiment gate.
 #[derive(Debug)]
 struct Telemetry {
     registry: WallRegistry,
@@ -346,12 +344,11 @@ impl Daemon {
             }
         };
         let telemetry = Telemetry::new();
-        let pool_metrics = if cfg.pool_metrics {
-            PoolMetrics::registered(&telemetry.registry)
-        } else {
-            PoolMetrics::detached()
-        };
-        let pool = Arc::new(Executor::new(cfg.workers, cfg.pool_queue, pool_metrics));
+        let pool = Arc::new(Executor::new(
+            cfg.workers,
+            cfg.pool_queue,
+            &telemetry.registry,
+        ));
         let shared = Arc::new(Shared {
             pipeline,
             cache,
@@ -455,6 +452,10 @@ fn dispatch_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let job_shared = shared.clone();
     let accepted = shared.pool.submit(move || {
         let opened = Instant::now();
+        // Held outside `catch_unwind`: the unwind drops the serving
+        // halves, but the socket stays open (the client sees no EOF)
+        // until the panic evidence below has landed.
+        let keep_open = stream.try_clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(stream, &job_shared)));
         if let Err(payload) = outcome {
             // Leave evidence: the pool isolates the panic, but a
@@ -466,6 +467,7 @@ fn dispatch_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 .cfg
                 .log
                 .debug(format_args!("conn: worker job panicked"));
+            drop(keep_open);
             // Re-raise so the pool's wrapper counts it in pool.panics.
             resume_unwind(payload);
         }
@@ -690,18 +692,14 @@ fn reply_metrics_prom(shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
     let (recent, errors) = shared.flight.occupancy();
     reg.gauge("flight.recent", &[]).set(recent as f64);
     reg.gauge("flight.errors", &[]).set(errors as f64);
-    if shared.cfg.pool_metrics {
-        // Pool occupancy gauges mirror the executor at scrape time;
-        // the counter/histogram families are registered by the
-        // executor itself. Gated so a pre-pool exposition baseline
-        // stays reproducible with `pool_metrics` off.
-        let pool = &shared.pool;
-        reg.gauge("pool.workers", &[]).set(pool.workers() as f64);
-        reg.gauge("pool.busy", &[]).set(pool.busy() as f64);
-        reg.gauge("pool.queued", &[]).set(pool.queued() as f64);
-        reg.gauge("pool.queue_cap", &[])
-            .set(pool.queue_cap() as f64);
-    }
+    // Pool occupancy gauges mirror the executor at scrape time; the
+    // counter/histogram families are registered by the executor itself.
+    let pool = &shared.pool;
+    reg.gauge("pool.workers", &[]).set(pool.workers() as f64);
+    reg.gauge("pool.busy", &[]).set(pool.busy() as f64);
+    reg.gauge("pool.queued", &[]).set(pool.queued() as f64);
+    reg.gauge("pool.queue_cap", &[])
+        .set(pool.queue_cap() as f64);
     let body = obs::prom::render(&reg.snapshot(), "landscaped");
     writeln!(w, "OK METRICS")?;
     for line in body.lines() {

@@ -19,10 +19,9 @@
 //!   lets workers finish every already-accepted job, and joins them.
 //!
 //! The pool knows nothing about sockets or the protocol: jobs are
-//! plain `FnOnce()` closures. Telemetry flows through [`PoolMetrics`]
-//! handles so the daemon can either register the families in its wall
-//! registry (default) or keep them detached when a frozen exposition
-//! baseline predates the pool plane.
+//! plain `FnOnce()` closures. Its telemetry families are registered
+//! in the [`WallRegistry`] handed to [`Executor::new`], so they always
+//! appear in the daemon's `METRICS PROM` exposition.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -35,32 +34,27 @@ use obs::{WallCounter, WallHistogram, WallRegistry};
 /// A queued unit of work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Cloneable handles for the pool's wall-clock telemetry families.
-///
-/// [`PoolMetrics::registered`] wires them into a [`WallRegistry`] so
-/// they appear in `METRICS PROM`; [`PoolMetrics::detached`] keeps
-/// them as free-standing atomics (recorded but never rendered), which
-/// is how a daemon preserves a pre-pool exposition baseline.
-#[derive(Clone, Debug, Default)]
-pub struct PoolMetrics {
+/// Handles for the pool's wall-clock telemetry families.
+#[derive(Debug)]
+struct PoolMetrics {
     /// Jobs accepted into the pool (served or still queued).
-    pub submitted: WallCounter,
+    submitted: WallCounter,
     /// Jobs whose closure returned (including panicked ones).
-    pub completed: WallCounter,
+    completed: WallCounter,
     /// Jobs refused because workers and queue were both full.
-    pub rejected: WallCounter,
+    rejected: WallCounter,
     /// Jobs whose closure panicked (isolated, worker survived).
-    pub panics: WallCounter,
+    panics: WallCounter,
     /// Wall microseconds a job waited between submit and dequeue.
-    pub queue_wait_us: WallHistogram,
+    queue_wait_us: WallHistogram,
     /// Busy-worker count observed as each job starts.
-    pub depth: WallHistogram,
+    depth: WallHistogram,
 }
 
 impl PoolMetrics {
     /// Handles registered in `reg`, so every family shows up in the
     /// registry's snapshot (and therefore in the Prometheus render).
-    pub fn registered(reg: &WallRegistry) -> Self {
+    fn registered(reg: &WallRegistry) -> Self {
         PoolMetrics {
             submitted: reg.counter("pool.submitted", &[]),
             completed: reg.counter("pool.completed", &[]),
@@ -69,11 +63,6 @@ impl PoolMetrics {
             queue_wait_us: reg.histogram("pool.queue_wait_us", &[]),
             depth: reg.histogram("pool.depth", &[]),
         }
-    }
-
-    /// Free-standing handles: still recorded, never rendered.
-    pub fn detached() -> Self {
-        PoolMetrics::default()
     }
 }
 
@@ -122,8 +111,9 @@ pub struct Executor {
 
 impl Executor {
     /// A pool of `workers` threads (minimum 1) admitting at most
-    /// `queue_cap` waiting jobs beyond the busy workers.
-    pub fn new(workers: usize, queue_cap: usize, metrics: PoolMetrics) -> Self {
+    /// `queue_cap` waiting jobs beyond the busy workers, with its
+    /// telemetry families registered in `registry`.
+    pub fn new(workers: usize, queue_cap: usize, registry: &WallRegistry) -> Self {
         let workers = workers.max(1);
         let inner = Arc::new(PoolInner {
             state: Mutex::new(PoolState {
@@ -132,7 +122,7 @@ impl Executor {
                 open: true,
             }),
             work: Condvar::new(),
-            metrics,
+            metrics: PoolMetrics::registered(registry),
             workers,
             queue_cap,
         });
@@ -244,7 +234,7 @@ mod tests {
 
     #[test]
     fn runs_submitted_jobs_on_fixed_workers() {
-        let pool = Executor::new(2, 8, PoolMetrics::detached());
+        let pool = Executor::new(2, 8, &WallRegistry::new());
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..10 {
             let ran = Arc::clone(&ran);
@@ -261,7 +251,7 @@ mod tests {
 
     #[test]
     fn rejects_when_workers_and_queue_are_full() {
-        let pool = Executor::new(1, 0, PoolMetrics::detached());
+        let pool = Executor::new(1, 0, &WallRegistry::new());
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let (started_tx, started_rx) = mpsc::channel::<()>();
         assert!(pool.submit(move || {
@@ -280,7 +270,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_isolated_and_counted() {
-        let pool = Executor::new(1, 8, PoolMetrics::detached());
+        let pool = Executor::new(1, 8, &WallRegistry::new());
         let ran = Arc::new(AtomicUsize::new(0));
         assert!(pool.submit(|| panic!("injected executor test panic")));
         let after = Arc::clone(&ran);
@@ -296,7 +286,7 @@ mod tests {
 
     #[test]
     fn drain_finishes_queued_jobs_before_exit() {
-        let pool = Executor::new(1, 16, PoolMetrics::detached());
+        let pool = Executor::new(1, 16, &WallRegistry::new());
         let ran = Arc::new(AtomicUsize::new(0));
         for _ in 0..8 {
             let ran = Arc::clone(&ran);
@@ -313,7 +303,7 @@ mod tests {
 
     #[test]
     fn depth_and_queue_wait_are_recorded() {
-        let pool = Executor::new(2, 8, PoolMetrics::detached());
+        let pool = Executor::new(2, 8, &WallRegistry::new());
         for _ in 0..4 {
             assert!(pool.submit(|| thread::sleep(Duration::from_millis(1))));
         }

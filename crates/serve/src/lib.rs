@@ -48,6 +48,6 @@ pub mod protocol;
 
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, TickEvery};
-pub use executor::{Executor, PoolMetrics};
+pub use executor::Executor;
 pub use flight::{FlightRecorder, QueryOutcome, QueryRecord};
 pub use protocol::{parse_request, LineReader, ProtocolError, Request, Target, MAX_LINE};

@@ -20,10 +20,11 @@
 //! (so the client can `CANCEL` from another connection), then the
 //! final `OK`/`PARTIAL`/`ERROR` line when the query settles.
 //!
-//! The plain `STATUS` and `METRICS` replies are frozen (the committed
-//! daemon transcript pins them byte-for-byte); the telemetry plane
-//! extends the protocol only through the new `STATUS FULL`,
-//! `METRICS PROM` and `TRACE` forms.
+//! The plain `STATUS` and `METRICS` replies are the deterministic
+//! views: every value is a pure function of the seed and the requests
+//! served, so the committed daemon transcript and the benchmark pin
+//! them exactly. Wall-clock telemetry extends the protocol only
+//! through the `STATUS FULL`, `METRICS PROM` and `TRACE` forms.
 //!
 //! Malformed input never kills a connection: every parse failure maps
 //! to a typed [`ProtocolError`] the daemon renders as a single `ERR
@@ -95,7 +96,7 @@ pub enum Request {
     },
     /// Daemon and cache counters. `PROM` renders the wall-clock
     /// telemetry registry as Prometheus text exposition instead of the
-    /// frozen legacy key=value lines.
+    /// deterministic key=value lines.
     Metrics {
         /// True for `METRICS PROM`.
         prom: bool,

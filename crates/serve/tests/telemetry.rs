@@ -306,7 +306,7 @@ fn byte_budget_eviction_shows_in_prom_but_not_legacy_metrics() {
 }
 
 #[test]
-fn pool_families_are_exported_by_default_and_gated_off() {
+fn pool_families_are_exported() {
     let (_handle, mut client) = spawn(|_| {});
     let exposition = scrape(&mut client);
     // The scraping connection itself occupies a worker.
@@ -326,18 +326,6 @@ fn pool_families_are_exported_by_default_and_gated_off() {
             .value("landscaped_pool_queue_wait_us_count", &[])
             .is_some(),
         "queue-wait histogram missing"
-    );
-
-    // `--pool-metrics off` keeps the exposition byte-compatible with
-    // the pre-pool telemetry baseline: no pool family at all.
-    let (_handle, mut legacy) = spawn(|cfg| cfg.pool_metrics = false);
-    let exposition = scrape(&mut legacy);
-    assert!(
-        !exposition
-            .families
-            .iter()
-            .any(|f| f.name.starts_with("landscaped_pool_")),
-        "pool families leaked into the gated-off exposition"
     );
 }
 
