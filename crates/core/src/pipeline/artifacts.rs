@@ -1,10 +1,15 @@
 //! The typed artifact store stages read from and write into.
 //!
-//! Each slot is produced by exactly one stage (documented per field)
-//! and read through a panicking accessor: asking for an artifact whose
-//! stage has not run is a *scheduling* bug in the engine, never a
-//! recoverable condition, so accessors `expect` with the producing
-//! stage's name.
+//! The store has one slot per stage, holding the [`StagePayload`] that
+//! stage deposited. Payloads are `Arc`-backed and immutable, so one
+//! payload can sit in a run's store and in the daemon's stage cache at
+//! once: a cache hit installs a pointer and a cache insert hands one
+//! over, with no copy of the world either way. Typed accessors
+//! (`world()`, `net_setup()`, `popularity()`, …) project into the
+//! producing stage's payload. Asking for an artifact whose stage has
+//! not run is a *scheduling* bug in the engine, never a recoverable
+//! condition, so the plain accessors panic with the producing stage's
+//! name; the `try_` variants return that message as an `Err`.
 //!
 //! Sim stages deposit both their measurement artifact *and* a snapshot
 //! of the [`Network`] (and, where relevant, the [`TrafficDriver`])
@@ -13,8 +18,6 @@
 //! `PortScan` independent siblings of the harvest: each branches its
 //! own deterministic timeline, so a selective run reproduces a full
 //! run's artifacts byte for byte.
-
-use std::sync::Arc;
 
 use onion_crypto::onion::OnionAddress;
 use tor_sim::network::{GuardObservation, Network};
@@ -30,7 +33,7 @@ use hs_portscan::ScanReport;
 use hs_tracking::TrackingAnalysis;
 use hs_world::{GeoDb, World};
 
-use super::cache::{HarvestBundle, SetupBundle, StagePayload};
+use super::cache::StagePayload;
 use super::stage::StageId;
 
 /// Sec. VI results (assembled by the `Geomap` analysis stage).
@@ -81,50 +84,28 @@ pub struct PopularityOut {
     pub sketch: Option<SketchSummary>,
 }
 
-/// Every artifact a pipeline run can produce. Slots start empty and
-/// are filled by their producing stage.
+/// Every artifact a pipeline run can produce: one slot per stage,
+/// holding the [`StagePayload`] that stage deposited (or that a cache
+/// hit installed). Slots start empty. Filling a slot from the cache,
+/// or handing a slot to it, is a pointer clone.
 #[derive(Debug, Default)]
 pub struct ArtifactStore {
-    // --- Setup ------------------------------------------------------
-    pub(crate) world: Option<World>,
-    pub(crate) geo: Option<GeoDb>,
-    pub(crate) attacker_guards: Option<Vec<RelayId>>,
-    pub(crate) net_setup: Option<Network>,
-    pub(crate) traffic_setup: Option<TrafficDriver>,
-    // --- Harvest ----------------------------------------------------
-    pub(crate) harvest: Option<HarvestOutcome>,
-    pub(crate) net_harvest: Option<Network>,
-    pub(crate) traffic_harvest: Option<TrafficDriver>,
-    /// Streaming sketch aggregator filled by the harvest when the
-    /// study runs with `StudyConfig::streaming`; consumed by the
-    /// popularity analysis in place of the materialized request log.
-    pub(crate) streaming: Option<StreamingPopularity>,
-    // --- DeanonWindow -----------------------------------------------
-    pub(crate) deanon_window: Option<DeanonWindowOut>,
-    // --- PortScan ---------------------------------------------------
-    pub(crate) scan: Option<ScanReport>,
-    // --- Analyses ---------------------------------------------------
-    pub(crate) deanon: Option<DeanonReport>,
-    pub(crate) certs: Option<CertSurvey>,
-    pub(crate) crawl: Option<CrawlReport>,
-    pub(crate) popularity: Option<PopularityOut>,
-    pub(crate) tracking: Option<TrackingReport>,
+    slots: [Option<StagePayload>; 9],
 }
 
 macro_rules! accessor {
-    ($(#[$doc:meta])* $name:ident / $try_name:ident: $ty:ty, $stage:literal) => {
+    ($(#[$doc:meta])* $name:ident / $try_name:ident: $ty:ty,
+     $variant:ident $(. $field:ident)?, $stage:literal) => {
         $(#[$doc])*
         ///
         /// # Panics
         ///
         /// Panics if the producing stage has not run.
         pub fn $name(&self) -> &$ty {
-            self.$name
-                .as_ref()
-                .unwrap_or_else(|| panic!(concat!(
-                    "artifact `", stringify!($name),
-                    "` requested but stage `", $stage, "` has not run"
-                )))
+            self.$try_name().unwrap_or_else(|_| panic!(concat!(
+                "artifact `", stringify!($name),
+                "` requested but stage `", $stage, "` has not run"
+            )))
         }
 
         $(#[$doc])*
@@ -133,13 +114,17 @@ macro_rules! accessor {
         /// artifact (producing stage degraded out of the run) is an
         /// `Err` naming the producer, never a panic.
         pub fn $try_name(&self) -> Result<&$ty, String> {
-            self.$name.as_ref().ok_or_else(|| {
-                concat!(
+            match &self.slots[StageId::$variant as usize] {
+                Some(StagePayload::$variant(payload)) => {
+                    let artifact: &$ty = &payload $(.$field)?;
+                    Ok(artifact)
+                }
+                _ => Err(concat!(
                     "artifact `", stringify!($name),
                     "` unavailable: stage `", $stage, "` did not complete"
                 )
-                .to_owned()
-            })
+                .to_owned()),
+            }
         }
     };
 }
@@ -147,105 +132,73 @@ macro_rules! accessor {
 impl ArtifactStore {
     accessor!(
         /// The generated ground-truth world.
-        world / try_world: World, "setup");
+        world / try_world: World, Setup.world, "setup");
     accessor!(
         /// The IP-geography database.
-        geo / try_geo: GeoDb, "setup");
+        geo / try_geo: GeoDb, Setup.geo, "setup");
     accessor!(
         /// The attacker's prepositioned guard relays.
-        attacker_guards / try_attacker_guards: Vec<RelayId>, "setup");
+        attacker_guards / try_attacker_guards: Vec<RelayId>, Setup.attacker_guards, "setup");
     accessor!(
         /// Network snapshot after setup (world registered, guards
         /// prepositioned, first consensus voted).
-        net_setup / try_net_setup: Network, "setup");
+        net_setup / try_net_setup: Network, Setup.net, "setup");
     accessor!(
         /// Traffic driver as constructed at setup time.
-        traffic_setup / try_traffic_setup: TrafficDriver, "setup");
+        traffic_setup / try_traffic_setup: TrafficDriver, Setup.traffic, "setup");
     accessor!(
         /// Sec. II harvesting outcome.
-        harvest / try_harvest: HarvestOutcome, "harvest");
+        harvest / try_harvest: HarvestOutcome, Harvest.harvest, "harvest");
     accessor!(
         /// Network snapshot after the harvest window.
-        net_harvest / try_net_harvest: Network, "harvest");
+        net_harvest / try_net_harvest: Network, Harvest.net, "harvest");
     accessor!(
         /// Traffic driver state after the harvest window.
-        traffic_harvest / try_traffic_harvest: TrafficDriver, "harvest");
+        traffic_harvest / try_traffic_harvest: TrafficDriver, Harvest.traffic, "harvest");
+    accessor!(
+        /// Streaming sketch aggregator the harvest filled when the
+        /// study ran with `StudyConfig::streaming`; `None` on the exact
+        /// path.
+        streaming / try_streaming: Option<StreamingPopularity>, Harvest.streaming, "harvest");
     accessor!(
         /// Raw Sec. VI window output.
-        deanon_window / try_deanon_window: DeanonWindowOut, "deanon_window");
+        deanon_window / try_deanon_window: DeanonWindowOut, DeanonWindow, "deanon_window");
     accessor!(
         /// Sec. III port-scan report (Fig. 1).
-        scan / try_scan: ScanReport, "port_scan");
+        scan / try_scan: ScanReport, PortScan, "port_scan");
     accessor!(
         /// Sec. VI deanonymisation report (Fig. 3).
-        deanon / try_deanon: DeanonReport, "geomap");
+        deanon / try_deanon: DeanonReport, Geomap, "geomap");
     accessor!(
         /// Sec. III certificate survey.
-        certs / try_certs: CertSurvey, "certs");
+        certs / try_certs: CertSurvey, Certs, "certs");
     accessor!(
         /// Sec. IV crawl funnel, Table I, languages, Fig. 2.
-        crawl / try_crawl: CrawlReport, "crawl");
+        crawl / try_crawl: CrawlReport, Crawl, "crawl");
     accessor!(
         /// Sec. V resolution, ranking, forensics.
-        popularity / try_popularity: PopularityOut, "popularity");
+        popularity / try_popularity: PopularityOut, Popularity, "popularity");
     accessor!(
         /// Sec. VII tracking detection.
-        tracking / try_tracking: TrackingReport, "tracking");
+        tracking / try_tracking: TrackingReport, Tracking, "tracking");
 
-    /// Bundles `stage`'s deposited slots into a cacheable payload, or
-    /// `None` if any of them is missing (stage degraded or not run).
+    /// `stage`'s payload, or `None` if the stage degraded or did not
+    /// run. A pointer clone: the store and the caller share the
+    /// artifacts.
     pub fn extract(&self, stage: StageId) -> Option<StagePayload> {
-        Some(match stage {
-            StageId::Setup => StagePayload::Setup(Arc::new(SetupBundle {
-                world: self.world.clone()?,
-                geo: self.geo.clone()?,
-                attacker_guards: self.attacker_guards.clone()?,
-                net: self.net_setup.clone()?,
-                traffic: self.traffic_setup.clone()?,
-            })),
-            StageId::Harvest => StagePayload::Harvest(Arc::new(HarvestBundle {
-                harvest: self.harvest.clone()?,
-                net: self.net_harvest.clone()?,
-                traffic: self.traffic_harvest.clone()?,
-                streaming: self.streaming.clone(),
-            })),
-            StageId::DeanonWindow => {
-                StagePayload::DeanonWindow(Arc::new(self.deanon_window.clone()?))
-            }
-            StageId::PortScan => StagePayload::PortScan(Arc::new(self.scan.clone()?)),
-            StageId::Geomap => StagePayload::Geomap(Arc::new(self.deanon.clone()?)),
-            StageId::Certs => StagePayload::Certs(Arc::new(self.certs.clone()?)),
-            StageId::Crawl => StagePayload::Crawl(Arc::new(self.crawl.clone()?)),
-            StageId::Popularity => StagePayload::Popularity(Arc::new(self.popularity.clone()?)),
-            StageId::Tracking => StagePayload::Tracking(Arc::new(self.tracking.clone()?)),
-        })
+        self.slots[stage as usize].clone()
     }
 
-    /// Deposits a cached payload into the slots its stage would have
-    /// filled, exactly as if the stage had just run.
+    /// Deposits a payload into its stage's slot, exactly as if the
+    /// stage had just run. A pointer clone: the store and the caller
+    /// (typically the cache) share the artifacts.
     pub fn install(&mut self, payload: &StagePayload) {
-        match payload {
-            StagePayload::Setup(b) => {
-                self.world = Some(b.world.clone());
-                self.geo = Some(b.geo.clone());
-                self.attacker_guards = Some(b.attacker_guards.clone());
-                self.net_setup = Some(b.net.clone());
-                self.traffic_setup = Some(b.traffic.clone());
-            }
-            StagePayload::Harvest(b) => {
-                self.harvest = Some(b.harvest.clone());
-                self.net_harvest = Some(b.net.clone());
-                self.traffic_harvest = Some(b.traffic.clone());
-                self.streaming = b.streaming.clone();
-            }
-            StagePayload::DeanonWindow(v) => self.deanon_window = Some((**v).clone()),
-            StagePayload::PortScan(v) => self.scan = Some((**v).clone()),
-            StagePayload::Geomap(v) => self.deanon = Some((**v).clone()),
-            StagePayload::Certs(v) => self.certs = Some((**v).clone()),
-            StagePayload::Crawl(v) => self.crawl = Some((**v).clone()),
-            StagePayload::Popularity(v) => self.popularity = Some((**v).clone()),
-            StagePayload::Tracking(v) => self.tracking = Some((**v).clone()),
-        }
+        self.slots[payload.stage() as usize] = Some(payload.clone());
+    }
+
+    /// Every deposited payload, in canonical stage order.
+    pub(crate) fn into_payloads(self) -> impl Iterator<Item = StagePayload> {
+        self.slots.into_iter().flatten()
     }
 }
 

@@ -132,9 +132,13 @@ pub struct HarvestBundle {
     pub streaming: Option<StreamingPopularity>,
 }
 
-/// One stage's complete output, shareable across queries without
-/// copying: payloads hold [`Arc`]s, so a cache hit is a pointer clone
-/// and the artifacts inside are immutable by construction.
+/// One stage's complete output, shared without copying: payloads hold
+/// [`Arc`]s, so a cache hit, a cache insert and an
+/// [`ArtifactStore::extract`] are all pointer clones, and the artifacts
+/// inside are immutable by construction. A sim stage that continues a
+/// snapshot clones only the network and traffic driver it advances.
+///
+/// [`ArtifactStore::extract`]: super::ArtifactStore::extract
 #[derive(Clone, Debug)]
 pub enum StagePayload {
     /// `Setup` output.

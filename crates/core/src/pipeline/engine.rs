@@ -44,6 +44,7 @@
 
 use std::collections::BTreeSet;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::{EventKind, Span, SpanRecorder, Trace, TraceEvent};
@@ -66,7 +67,7 @@ use hs_world::{GeoDb, World, WorldConfig};
 use super::artifacts::{
     ArtifactStore, DeanonReport, DeanonWindowOut, PopularityOut, TrackingReport,
 };
-use super::cache::{derive_keys, CacheKey};
+use super::cache::{derive_keys, CacheKey, HarvestBundle, SetupBundle, StageCache, StagePayload};
 use super::control::{Halt, RunControl};
 use super::seeds::{stage_seed, SeedDomain};
 use super::stage::{StageId, StageKind};
@@ -329,15 +330,6 @@ impl StageObs {
     }
 }
 
-/// The value an analysis stage hands back to the joiner.
-enum AnalysisOut {
-    Geomap(DeanonReport),
-    Certs(CertSurvey),
-    Crawl(Box<hs_content::CrawlReport>),
-    Popularity(Box<PopularityOut>),
-    Tracking(TrackingReport),
-}
-
 /// Trace-side metadata for one completed analysis stage.
 struct AnalysisMeta {
     /// Synthetic sim-span weight: the number of items the stage
@@ -395,10 +387,10 @@ impl Pipeline {
         // Cache keys are fixed for the whole run: stage identity, root
         // seed, the full config fingerprint, upstream keys, and the
         // caller's epoch salt (folded into `Setup`, chained onward).
-        let keys: Option<[CacheKey; 9]> = ctl
-            .cache
-            .as_ref()
-            .map(|_| derive_keys(self.cfg.seed, self.cfg.fingerprint(), ctl.epoch_salt));
+        let cache: Option<KeyedCache> = ctl.cache.as_deref().map(|cache| {
+            let keys = derive_keys(self.cfg.seed, self.cfg.fingerprint(), ctl.epoch_salt);
+            (cache, keys)
+        });
         let mut sim_hours_used: u64 = 0;
         let mut halt: Option<Halt> = None;
         log.progress(format_args!(
@@ -440,26 +432,12 @@ impl Pipeline {
                 timings.halted.push(stage);
                 continue;
             }
-            // Content-addressed cache probe: a hit installs the cached
-            // payload exactly as if the stage had run, advancing zero
-            // sim hours and consuming no randomness.
-            if let (Some(cache), Some(keys)) = (ctl.cache.as_deref(), keys.as_ref()) {
-                if let Some(payload) = cache.lookup(keys[stage as usize]) {
-                    let started = Instant::now();
-                    store.install(&payload);
-                    let mut reg = obs::Registry::new();
-                    reg.inc("stage_cache_hit", 1);
-                    log.progress(format_args!("stage {stage}: served from cache"));
-                    if opts.trace {
-                        recorders.push((stage, cache_hit_recorder(sim_hi)));
-                    }
-                    timings.executed.push(StageTiming::from_registry(
-                        stage,
-                        started.elapsed(),
-                        reg,
-                    ));
-                    continue;
+            if let Some(timing) = install_cached(stage, cache.as_ref(), &mut store, log) {
+                if opts.trace {
+                    recorders.push((stage, cache_hit_recorder(sim_hi)));
                 }
+                timings.executed.push(timing);
+                continue;
             }
             if let Some(&dep) = stage.deps().iter().find(|d| failed.contains(d)) {
                 log.progress(format_args!(
@@ -489,18 +467,16 @@ impl Pipeline {
                 let result = match injected_failure(&self.cfg, stage, attempts) {
                     Some(err) => Err(err),
                     None => panic::catch_unwind(AssertUnwindSafe(|| match stage {
-                        StageId::Setup => self.sim_setup(&mut store, &mut sobs, wave_threads),
-                        StageId::Harvest => self.sim_harvest(&mut store, &mut sobs, wave_threads),
-                        StageId::DeanonWindow => self.sim_deanon_window(&mut store, &mut sobs),
-                        StageId::PortScan => {
-                            self.sim_port_scan(&mut store, &mut sobs, wave_threads)
-                        }
+                        StageId::Setup => self.sim_setup(&mut sobs, wave_threads),
+                        StageId::Harvest => self.sim_harvest(&store, &mut sobs, wave_threads),
+                        StageId::DeanonWindow => self.sim_deanon_window(&store, &mut sobs),
+                        StageId::PortScan => self.sim_port_scan(&store, &mut sobs, wave_threads),
                         _ => unreachable!("analysis stage in sim prefix"),
                     }))
                     .unwrap_or_else(|payload| Err(panic_message(payload))),
                 };
                 match result {
-                    Ok(()) => break Ok(sobs),
+                    Ok(payload) => break Ok((sobs, payload)),
                     Err(err) if attempts < budget => {
                         // Retry boundary: an exhausted budget stops
                         // the retry here — the stage degrades with its
@@ -525,7 +501,7 @@ impl Pipeline {
                 }
             };
             match outcome {
-                Ok(mut sobs) => {
+                Ok((mut sobs, payload)) => {
                     if attempts > 1 {
                         sobs.reg.inc("retries", u64::from(attempts - 1));
                         sobs.reg
@@ -563,11 +539,7 @@ impl Pipeline {
                         ));
                     }
                     timings.executed.push(timing);
-                    if let (Some(cache), Some(keys)) = (ctl.cache.as_deref(), keys.as_ref()) {
-                        if let Some(payload) = store.extract(stage) {
-                            cache.insert(keys[stage as usize], payload);
-                        }
-                    }
+                    deposit(payload, cache.as_ref(), &mut store);
                 }
                 Err(error) => {
                     log.progress(format_args!(
@@ -605,23 +577,12 @@ impl Pipeline {
                 timings.halted.push(stage);
                 continue;
             }
-            if let (Some(cache), Some(keys)) = (ctl.cache.as_deref(), keys.as_ref()) {
-                if let Some(payload) = cache.lookup(keys[stage as usize]) {
-                    let started = Instant::now();
-                    store.install(&payload);
-                    let mut reg = obs::Registry::new();
-                    reg.inc("stage_cache_hit", 1);
-                    log.progress(format_args!("stage {stage}: served from cache"));
-                    if opts.trace {
-                        recorders.push((stage, cache_hit_recorder(sim_hi)));
-                    }
-                    timings.executed.push(StageTiming::from_registry(
-                        stage,
-                        started.elapsed(),
-                        reg,
-                    ));
-                    continue;
+            if let Some(timing) = install_cached(stage, cache.as_ref(), &mut store, log) {
+                if opts.trace {
+                    recorders.push((stage, cache_hit_recorder(sim_hi)));
                 }
+                timings.executed.push(timing);
+                continue;
             }
             if let Some(&dep) = stage.deps().iter().find(|d| failed.contains(d)) {
                 log.progress(format_args!(
@@ -686,19 +647,8 @@ impl Pipeline {
         results.sort_by_key(|r| r.stage);
         for r in results {
             match r.outcome {
-                Ok((timing, out, meta)) => {
-                    match out {
-                        AnalysisOut::Geomap(v) => store.deanon = Some(v),
-                        AnalysisOut::Certs(v) => store.certs = Some(v),
-                        AnalysisOut::Crawl(v) => store.crawl = Some(*v),
-                        AnalysisOut::Popularity(v) => store.popularity = Some(*v),
-                        AnalysisOut::Tracking(v) => store.tracking = Some(v),
-                    }
-                    if let (Some(cache), Some(keys)) = (ctl.cache.as_deref(), keys.as_ref()) {
-                        if let Some(payload) = store.extract(r.stage) {
-                            cache.insert(keys[r.stage as usize], payload);
-                        }
-                    }
+                Ok((timing, payload, meta)) => {
+                    deposit(payload, cache.as_ref(), &mut store);
                     if opts.trace {
                         let sim = (frontier, frontier + meta.weight);
                         sim_lo = sim_lo.min(sim.0);
@@ -763,12 +713,7 @@ impl Pipeline {
 
     /// World generation, network build, guard prepositioning, traffic
     /// driver construction.
-    fn sim_setup(
-        &self,
-        store: &mut ArtifactStore,
-        sobs: &mut StageObs,
-        wave_threads: usize,
-    ) -> Result<(), String> {
+    fn sim_setup(&self, sobs: &mut StageObs, wave_threads: usize) -> Result<StagePayload, String> {
         let cfg = &self.cfg;
         let world = World::generate(
             WorldConfig::default()
@@ -817,12 +762,13 @@ impl Pipeline {
         }
         sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
-        store.world = Some(world);
-        store.geo = Some(geo);
-        store.attacker_guards = Some(attacker_guards);
-        store.net_setup = Some(net);
-        store.traffic_setup = Some(traffic);
-        Ok(())
+        Ok(StagePayload::Setup(Arc::new(SetupBundle {
+            world,
+            geo,
+            attacker_guards,
+            net,
+            traffic,
+        })))
     }
 
     /// The Sec. II trawling attack with live Sec. V traffic. With
@@ -831,10 +777,10 @@ impl Pipeline {
     /// the per-request event vector.
     fn sim_harvest(
         &self,
-        store: &mut ArtifactStore,
+        store: &ArtifactStore,
         sobs: &mut StageObs,
         wave_threads: usize,
-    ) -> Result<(), String> {
+    ) -> Result<StagePayload, String> {
         let mut net = store.try_net_setup()?.clone();
         let mut traffic = store.try_traffic_setup()?.clone();
         sobs.begin(&mut net);
@@ -919,11 +865,12 @@ impl Pipeline {
         }
         sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
-        store.harvest = Some(harvest);
-        store.net_harvest = Some(net);
-        store.traffic_harvest = Some(traffic);
-        store.streaming = streaming;
-        Ok(())
+        Ok(StagePayload::Harvest(Arc::new(HarvestBundle {
+            harvest,
+            net,
+            traffic,
+            streaming,
+        })))
     }
 
     /// The dedicated Sec. VI deanonymisation window: 48 h of signature
@@ -932,9 +879,9 @@ impl Pipeline {
     /// unbiased and the port scan is unaffected.
     fn sim_deanon_window(
         &self,
-        store: &mut ArtifactStore,
+        store: &ArtifactStore,
         sobs: &mut StageObs,
-    ) -> Result<(), String> {
+    ) -> Result<StagePayload, String> {
         let cfg = &self.cfg;
         let mut net = store.try_net_harvest()?.clone();
         let mut traffic = store.try_traffic_harvest()?.clone();
@@ -988,22 +935,21 @@ impl Pipeline {
         }
         sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
-        store.deanon_window = Some(DeanonWindowOut {
+        Ok(StagePayload::DeanonWindow(Arc::new(DeanonWindowOut {
             target,
             observations,
             expected_rate,
-        });
-        Ok(())
+        })))
     }
 
     /// The Sec. III multi-day port scan, branched off the post-harvest
     /// network.
     fn sim_port_scan(
         &self,
-        store: &mut ArtifactStore,
+        store: &ArtifactStore,
         sobs: &mut StageObs,
         wave_threads: usize,
-    ) -> Result<(), String> {
+    ) -> Result<StagePayload, String> {
         let mut net = store.try_net_harvest()?.clone();
         sobs.begin(&mut net);
         let hot0 = net.hot_counters();
@@ -1057,8 +1003,38 @@ impl Pipeline {
         }
         sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
-        store.scan = Some(scan);
-        Ok(())
+        Ok(StagePayload::PortScan(Arc::new(scan)))
+    }
+}
+
+/// A controlled run's stage cache and its per-stage key chain.
+type KeyedCache<'a> = (&'a dyn StageCache, [CacheKey; 9]);
+
+/// Content-addressed cache probe: a hit installs the cached payload (a
+/// pointer clone) exactly as if the stage had run, advancing zero sim
+/// hours and consuming no randomness, and returns the hit's timing.
+fn install_cached(
+    stage: StageId,
+    cache: Option<&KeyedCache>,
+    store: &mut ArtifactStore,
+    log: obs::Logger,
+) -> Option<StageTiming> {
+    let (cache, keys) = cache?;
+    let payload = cache.lookup(keys[stage as usize])?;
+    let started = Instant::now();
+    store.install(&payload);
+    let mut reg = obs::Registry::new();
+    reg.inc("stage_cache_hit", 1);
+    log.progress(format_args!("stage {stage}: served from cache"));
+    Some(StageTiming::from_registry(stage, started.elapsed(), reg))
+}
+
+/// Deposits a completed stage's payload into the store and, when the
+/// run has a cache, under the stage's key: both hold the same payload.
+fn deposit(payload: StagePayload, cache: Option<&KeyedCache>, store: &mut ArtifactStore) {
+    store.install(&payload);
+    if let Some((cache, keys)) = cache {
+        cache.insert(keys[payload.stage() as usize], payload);
     }
 }
 
@@ -1293,7 +1269,7 @@ fn assemble_trace(
 /// metadata), or the error (with attempt count) that degraded it.
 struct AnalysisResult {
     stage: StageId,
-    outcome: Result<(StageTiming, AnalysisOut, AnalysisMeta), (String, u32)>,
+    outcome: Result<(StageTiming, StagePayload, AnalysisMeta), (String, u32)>,
 }
 
 /// Executes one analysis stage against the (read-only) store, with
@@ -1406,7 +1382,7 @@ fn analysis_body(
 
 /// What an analysis stage body yields: its metric registry, artifact,
 /// synthetic-span weight, and any measurement-wave shard stats.
-type AnalysisBodyOut = (obs::Registry, AnalysisOut, u64, Vec<WaveStats>);
+type AnalysisBodyOut = (obs::Registry, StagePayload, u64, Vec<WaveStats>);
 
 /// Fig. 3: geographic mapping of the deanonymised clients.
 fn analysis_geomap(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
@@ -1422,7 +1398,12 @@ fn analysis_geomap(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
     let mut reg = obs::Registry::new();
     reg.inc("unique_clients", u64::from(report.unique_clients));
     reg.inc("countries", report.geomap.country_count() as u64);
-    Ok((reg, AnalysisOut::Geomap(report), weight, Vec::new()))
+    Ok((
+        reg,
+        StagePayload::Geomap(Arc::new(report)),
+        weight,
+        Vec::new(),
+    ))
 }
 
 /// Sec. III: the HTTPS certificate survey over everything the scan saw
@@ -1439,7 +1420,12 @@ fn analysis_certs(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
     let mut reg = obs::Registry::new();
     reg.inc("https_destinations", certs.https_destinations);
     let weight = certs.https_destinations;
-    Ok((reg, AnalysisOut::Certs(certs), weight, Vec::new()))
+    Ok((
+        reg,
+        StagePayload::Certs(Arc::new(certs)),
+        weight,
+        Vec::new(),
+    ))
 }
 
 /// Sec. IV: crawl funnel, Table I, languages, Fig. 2.
@@ -1470,7 +1456,7 @@ fn analysis_crawl(
     reg.merge_hist("crawl.connect_attempts", &crawl.connect_attempts);
     reg.merge_hist("crawl.words_per_page", &crawl.words_per_page);
     let weight = destinations.len() as u64;
-    Ok((reg, AnalysisOut::Crawl(Box::new(crawl)), weight, waves))
+    Ok((reg, StagePayload::Crawl(Arc::new(crawl)), weight, waves))
 }
 
 /// Sec. V: descriptor-ID resolution, Table II ranking, Goldnet
@@ -1488,7 +1474,7 @@ fn analysis_popularity(
         SimTime::from_ymd(2013, 1, 28),
         SimTime::from_ymd(2013, 2, 8),
     );
-    let (resolution, sketch) = match &store.streaming {
+    let (resolution, sketch) = match store.try_streaming()? {
         Some(agg) => (agg.finalize(&resolver), Some(agg.summary())),
         None => (resolver.resolve_log(&harvest.requests), None),
     };
@@ -1521,7 +1507,7 @@ fn analysis_popularity(
     let weight = resolution.total_requests;
     Ok((
         reg,
-        AnalysisOut::Popularity(Box::new(PopularityOut {
+        StagePayload::Popularity(Arc::new(PopularityOut {
             resolution,
             ranking,
             forensics,
@@ -1566,7 +1552,7 @@ fn analysis_tracking(cfg: &StudyConfig) -> Result<AnalysisBodyOut, String> {
     reg.inc("windows", 3);
     Ok((
         reg,
-        AnalysisOut::Tracking(TrackingReport { years }),
+        StagePayload::Tracking(Arc::new(TrackingReport { years })),
         weight,
         Vec::new(),
     ))

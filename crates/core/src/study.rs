@@ -8,6 +8,8 @@
 //! the artifacts (the bench binaries, the figure-specific CLI
 //! commands).
 
+use std::sync::Arc;
+
 use hs_content::{CertSurvey, CrawlReport};
 use hs_deanon::DeanonConfig;
 use hs_harvest::{HarvestConfig, HarvestOutcome};
@@ -17,7 +19,9 @@ use hs_world::World;
 use tor_sim::FaultPlan;
 
 use crate::pipeline::timing::DegradedStage;
-use crate::pipeline::{ExecMode, Pipeline, PipelineRun, PipelineTimings, RunOptions, StageId};
+use crate::pipeline::{
+    ExecMode, Pipeline, PipelineRun, PipelineTimings, RunOptions, StageId, StagePayload,
+};
 
 pub use crate::pipeline::artifacts::{DeanonReport, TrackingReport};
 
@@ -229,7 +233,7 @@ impl StudyConfig {
 /// study still returns the rest — a partial report, never an abort.
 /// On a fault-free run with no chaos injected, every section the plan
 /// produced is `Some` and [`StudyReport::is_complete`] holds.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StudyReport {
     /// The generated ground-truth world.
     pub world: Option<World>,
@@ -380,34 +384,35 @@ impl Study {
             targets.push(StageId::Tracking);
         }
         let run = Pipeline::new(self.config.clone()).run_with(&targets, mode, opts);
-        let mut artifacts = run.artifacts;
-        let (resolution, ranking, forensics, requested_published_share, sketch) =
-            match artifacts.popularity.take() {
-                Some(p) => (
-                    Some(p.resolution),
-                    Some(p.ranking),
-                    Some(p.forensics),
-                    Some(p.requested_published_share),
-                    p.sketch,
-                ),
-                None => (None, None, None, None, None),
-            };
-        StudyReport {
-            world: artifacts.world.take(),
-            harvest: artifacts.harvest.take(),
-            scan: artifacts.scan.take(),
-            certs: artifacts.certs.take(),
-            crawl: artifacts.crawl.take(),
-            resolution,
-            ranking,
-            forensics,
-            requested_published_share,
-            sketch,
-            deanon: artifacts.deanon.take(),
-            tracking: artifacts.tracking.take(),
+        let mut report = StudyReport {
             stages: run.timings,
             trace: run.trace,
+            ..StudyReport::default()
+        };
+        // Without a cache the store holds the only reference to each
+        // payload, so `unwrap_or_clone` moves the artifacts out and
+        // never copies.
+        for payload in run.artifacts.into_payloads() {
+            match payload {
+                StagePayload::Setup(b) => report.world = Some(Arc::unwrap_or_clone(b).world),
+                StagePayload::Harvest(b) => report.harvest = Some(Arc::unwrap_or_clone(b).harvest),
+                StagePayload::DeanonWindow(_) => {}
+                StagePayload::PortScan(s) => report.scan = Some(Arc::unwrap_or_clone(s)),
+                StagePayload::Geomap(d) => report.deanon = Some(Arc::unwrap_or_clone(d)),
+                StagePayload::Certs(c) => report.certs = Some(Arc::unwrap_or_clone(c)),
+                StagePayload::Crawl(c) => report.crawl = Some(Arc::unwrap_or_clone(c)),
+                StagePayload::Popularity(p) => {
+                    let p = Arc::unwrap_or_clone(p);
+                    report.resolution = Some(p.resolution);
+                    report.ranking = Some(p.ranking);
+                    report.forensics = Some(p.forensics);
+                    report.requested_published_share = Some(p.requested_published_share);
+                    report.sketch = p.sketch;
+                }
+                StagePayload::Tracking(t) => report.tracking = Some(Arc::unwrap_or_clone(t)),
+            }
         }
+        report
     }
 }
 

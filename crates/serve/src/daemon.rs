@@ -1053,7 +1053,9 @@ fn reply_run(
 
     // Containment proof: the epoch's resident world, re-hashed after
     // the query. Immutable payloads make this equal to the pre-query
-    // hash no matter how the query ended.
+    // hash no matter how the query ended. Cache hits install pointers,
+    // so this re-hash is most of a cached query's cost; it is kept on
+    // purpose, since memoizing it would prove nothing.
     let world_after = match shared
         .cache
         .fetch_uncounted(epoch_keys(shared, epoch.salt)[StageId::Setup as usize])

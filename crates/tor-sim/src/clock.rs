@@ -45,6 +45,21 @@ impl SimTime {
         SimTime(days_from_civil(year, month, day) as u64 * DAY)
     }
 
+    /// Builds a timestamp for midnight UTC of a calendar date, or
+    /// `None` if the date does not exist (month outside 1–12, day past
+    /// the month's end) or lies outside the four-digit years
+    /// 1970–9999 the simulator's timestamps print as.
+    pub fn try_from_ymd(year: i64, month: u32, day: u32) -> Option<Self> {
+        if !(1970..=9999).contains(&year) || !(1..=12).contains(&month) || !(1..=31).contains(&day)
+        {
+            return None;
+        }
+        // In this range the arithmetic cannot overflow; a day past the
+        // month's end rolls into the next month and fails the check.
+        let t = SimTime::from_ymd(year, month, day);
+        (t.ymd() == (year, month, day)).then_some(t)
+    }
+
     /// The Unix timestamp in seconds.
     pub fn unix(self) -> u64 {
         self.0
@@ -190,6 +205,30 @@ mod tests {
     fn display_format() {
         let t = SimTime::from_ymd(2013, 2, 4) + 3 * HOUR + 25 * 60 + 7;
         assert_eq!(t.to_string(), "2013-02-04T03:25:07Z");
+    }
+
+    #[test]
+    fn try_from_ymd_rejects_impossible_dates() {
+        assert_eq!(
+            SimTime::try_from_ymd(2012, 2, 29),
+            Some(SimTime::from_ymd(2012, 2, 29))
+        );
+        assert_eq!(SimTime::try_from_ymd(1970, 1, 1), Some(SimTime::EPOCH));
+        assert!(SimTime::try_from_ymd(9999, 12, 31).is_some());
+        for (y, m, d) in [
+            (2013, 2, 29),
+            (2013, 2, 31),
+            (2013, 4, 31),
+            (2013, 0, 1),
+            (2013, 13, 1),
+            (2013, 1, 0),
+            (1969, 12, 31),
+            (10_000, 1, 1),
+            (999_999_999_999, 1, 1),
+            (i64::MIN, 1, 1),
+        ] {
+            assert_eq!(SimTime::try_from_ymd(y, m, d), None, "{y}-{m}-{d}");
+        }
     }
 
     #[test]

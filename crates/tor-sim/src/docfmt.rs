@@ -23,7 +23,7 @@ use core::fmt;
 use onion_crypto::identity::Fingerprint;
 use onion_crypto::sha1::Digest;
 
-use crate::clock::SimTime;
+use crate::clock::{SimTime, HOUR};
 use crate::consensus::{Consensus, ConsensusEntry};
 use crate::flags::RelayFlags;
 use crate::relay::{Ipv4, RelayId};
@@ -142,26 +142,30 @@ pub fn decode(doc: &str) -> Result<Consensus, ParseDocError> {
     Ok(Consensus::new(valid_after, entries))
 }
 
+/// Parses `YYYY-MM-DDThh:mm:ssZ`. Every field is range-checked (the
+/// date must exist, in the years 1970–9999), so a forged timestamp is
+/// `None`, never a panic or a wrapped value.
 fn parse_timestamp(s: &str) -> Option<SimTime> {
-    // 2013-02-04T00:00:00Z
-    let s = s.strip_suffix('Z')?;
-    let (date, time) = s.split_once('T')?;
-    let mut d = date.split('-');
-    let (y, m, day) = (
-        d.next()?.parse::<i64>().ok()?,
-        d.next()?.parse::<u32>().ok()?,
-        d.next()?.parse::<u32>().ok()?,
-    );
-    if !(1..=12).contains(&m) || !(1..=31).contains(&day) {
+    let (date, time) = s.strip_suffix('Z')?.split_once('T')?;
+    let [y, m, d] = three_fields(date, '-')?;
+    let [hh, mm, ss] = three_fields(time, ':')?;
+    if hh > 23 || mm > 59 || ss > 59 {
         return None;
     }
-    let mut t = time.split(':');
-    let (hh, mm, ss) = (
-        t.next()?.parse::<u64>().ok()?,
-        t.next()?.parse::<u64>().ok()?,
-        t.next()?.parse::<u64>().ok()?,
-    );
-    Some(SimTime::from_ymd(y, m, day) + hh * 3600 + mm * 60 + ss)
+    let midnight = SimTime::try_from_ymd(
+        i64::try_from(y).ok()?,
+        u32::try_from(m).ok()?,
+        u32::try_from(d).ok()?,
+    )?;
+    let secs = midnight.unix().checked_add(hh * HOUR + mm * 60 + ss)?;
+    Some(SimTime::from_unix(secs))
+}
+
+/// Splits `s` on `sep` into exactly three unsigned integers.
+fn three_fields(s: &str, sep: char) -> Option<[u64; 3]> {
+    let mut parts = s.split(sep).map(|p| p.parse::<u64>().ok());
+    let fields = [parts.next()??, parts.next()??, parts.next()??];
+    parts.next().is_none().then_some(fields)
 }
 
 fn parse_ipv4(s: &str) -> Option<Ipv4> {
@@ -246,6 +250,64 @@ mod tests {
         assert_eq!(t.to_string(), "2013-02-04T12:34:56Z");
         assert!(parse_timestamp("2013-13-04T00:00:00Z").is_none());
         assert!(parse_timestamp("2013-02-04 00:00:00").is_none());
+        // 2^32 + 2: a month only a truncating cast would accept.
+        assert!(parse_timestamp("2013-4294967298-04T00:00:00Z").is_none());
+        assert!(parse_timestamp("2013-02-04-01T00:00:00Z").is_none());
+        assert!(parse_timestamp("2013-02-04T00:00:00:00Z").is_none());
+        assert!(parse_timestamp("2013-02T00:00:00Z").is_none());
+    }
+
+    /// Decodes a one-relay document whose `valid-after` is `stamp`.
+    fn decode_stamp(stamp: &str) -> Result<Consensus, ParseDocError> {
+        let doc = encode(&tiny_consensus(1)).replace("2013-02-01T00:00:00Z", stamp);
+        decode(&doc)
+    }
+
+    #[test]
+    fn rejects_valid_after_before_1970() {
+        assert_eq!(decode_stamp("1969-12-31T00:00:00Z").unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn rejects_valid_after_hour_overflow() {
+        assert_eq!(
+            decode_stamp("2013-02-01T99999999999999999:00:00Z")
+                .unwrap_err()
+                .line,
+            2
+        );
+    }
+
+    #[test]
+    fn rejects_valid_after_year_overflow() {
+        assert_eq!(
+            decode_stamp("999999999999-02-01T00:00:00Z")
+                .unwrap_err()
+                .line,
+            2
+        );
+    }
+
+    #[test]
+    fn rejects_valid_after_time_out_of_range() {
+        assert_eq!(decode_stamp("2013-02-01T25:61:61Z").unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn rejects_valid_after_nonexistent_date() {
+        assert_eq!(decode_stamp("2013-02-31T00:00:00Z").unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn valid_after_edges_decode() {
+        for stamp in [
+            "1970-01-01T00:00:00Z",
+            "2012-02-29T23:59:59Z",
+            "9999-12-31T23:59:59Z",
+        ] {
+            let c = decode_stamp(stamp).unwrap();
+            assert_eq!(c.valid_after().to_string(), stamp);
+        }
     }
 
     #[test]

@@ -31,6 +31,63 @@ fn consensus_from_fps(fps: &[[u8; 20]]) -> Consensus {
     Consensus::new(SimTime::from_ymd(2013, 2, 4), entries)
 }
 
+/// The last timestamp with a four-digit year: 9999-12-31T23:59:59Z.
+const LAST_VALID_AFTER: u64 = 253_402_300_799;
+
+/// The characters a generated nickname draws from.
+const NICK_CHARS: &[u8] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+
+/// Every relay flag, in bit order for [`flag_subset`].
+const ALL_FLAGS: [RelayFlags; 7] = [
+    RelayFlags::RUNNING,
+    RelayFlags::FAST,
+    RelayFlags::STABLE,
+    RelayFlags::GUARD,
+    RelayFlags::HSDIR,
+    RelayFlags::EXIT,
+    RelayFlags::VALID,
+];
+
+/// The flags whose bits are set in `bits` (zero is the empty set).
+fn flag_subset(bits: u8) -> RelayFlags {
+    let mut flags = RelayFlags::NONE;
+    for (i, &flag) in ALL_FLAGS.iter().enumerate() {
+        if bits >> i & 1 == 1 {
+            flags.insert(flag);
+        }
+    }
+    flags
+}
+
+/// Byte ranges of a document's fields: maximal runs of ASCII digits
+/// or of ASCII letters, so `2013-02-04T00:00:00Z` has a field for each
+/// date and time component.
+fn field_spans(doc: &str) -> Vec<(usize, usize)> {
+    let class = |b: u8| {
+        if b.is_ascii_digit() {
+            1
+        } else if b.is_ascii_alphabetic() {
+            2
+        } else {
+            0
+        }
+    };
+    let bytes = doc.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        let kind = class(bytes[i]);
+        while i < bytes.len() && class(bytes[i]) == kind {
+            i += 1;
+        }
+        if kind != 0 {
+            spans.push((start, i));
+        }
+    }
+    spans
+}
+
 proptest! {
     /// The ring lookup returns exactly the 3 nearest successors, for
     /// arbitrary fingerprint sets and query points.
@@ -77,20 +134,76 @@ proptest! {
         prop_assert_eq!(fingerprints.len(), resp.len());
     }
 
-    /// The dir-spec document encoding round-trips arbitrary consensuses.
+    /// The dir-spec document encoding round-trips arbitrary consensuses
+    /// field for field, and re-encoding the parsed consensus
+    /// reproduces the document byte for byte.
     #[test]
     fn docfmt_roundtrip(
+        valid_after in 0u64..LAST_VALID_AFTER + 1,
         fps in proptest::collection::hash_set(any::<[u8; 20]>(), 1..20),
+        relays in proptest::collection::vec(
+            (
+                proptest::collection::vec(0usize..NICK_CHARS.len(), 1..20),
+                any::<u32>(),
+                any::<u16>(),
+                (0u8..1 << ALL_FLAGS.len(), any::<u64>()),
+            ),
+            19..20,
+        ),
     ) {
-        let fps: Vec<[u8; 20]> = fps.into_iter().collect();
-        let consensus = consensus_from_fps(&fps);
+        // Sorted, so the fingerprint-to-relay pairing is seed-determined.
+        let mut fps: Vec<[u8; 20]> = fps.into_iter().collect();
+        fps.sort();
+        let entries = fps
+            .iter()
+            .zip(relays)
+            .enumerate()
+            .map(|(i, (fp, (nick, ip, or_port, (flags, bandwidth))))| ConsensusEntry {
+                relay: RelayId(i),
+                fingerprint: Fingerprint::from_digest(Digest::from_bytes(*fp)),
+                nickname: nick.iter().map(|&c| char::from(NICK_CHARS[c])).collect(),
+                ip: Ipv4(ip),
+                or_port,
+                bandwidth,
+                flags: flag_subset(flags),
+            })
+            .collect();
+        let consensus = Consensus::new(SimTime::from_unix(valid_after), entries);
         let doc = crate::docfmt::encode(&consensus);
         let parsed = crate::docfmt::decode(&doc).unwrap();
+        prop_assert_eq!(parsed.valid_after(), consensus.valid_after());
         prop_assert_eq!(parsed.len(), consensus.len());
         for (a, b) in parsed.entries().iter().zip(consensus.entries()) {
             prop_assert_eq!(a.fingerprint, b.fingerprint);
+            prop_assert_eq!(&a.nickname, &b.nickname);
+            prop_assert_eq!(a.ip, b.ip);
+            prop_assert_eq!(a.or_port, b.or_port);
             prop_assert_eq!(a.flags, b.flags);
             prop_assert_eq!(a.bandwidth, b.bandwidth);
+        }
+        prop_assert_eq!(crate::docfmt::encode(&parsed), doc);
+    }
+
+    /// A valid document with any one field (a run of digits or of
+    /// letters) replaced by an arbitrary number or arbitrary bytes
+    /// decodes to `Ok` or `Err`, never a panic.
+    #[test]
+    fn docfmt_forged_field_never_panics(
+        fps in proptest::collection::hash_set(any::<[u8; 20]>(), 1..4),
+        number in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+    ) {
+        let mut fps: Vec<[u8; 20]> = fps.into_iter().collect();
+        fps.sort();
+        let doc = crate::docfmt::encode(&consensus_from_fps(&fps));
+        let forgeries = [number.to_string(), String::from_utf8_lossy(&bytes).into_owned()];
+        for (start, end) in field_spans(&doc) {
+            for field in &forgeries {
+                let forged = format!("{}{field}{}", &doc[..start], &doc[end..]);
+                if let Ok(parsed) = crate::docfmt::decode(&forged) {
+                    crate::docfmt::encode(&parsed);
+                }
+            }
         }
     }
 

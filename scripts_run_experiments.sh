@@ -3,7 +3,7 @@
 # outputs under results/ (used to fill EXPERIMENTS.md), or runs a gate.
 #
 #   sh scripts_run_experiments.sh          regenerate results/*.txt
-#   sh scripts_run_experiments.sh verify   fmt + clippy + study + scale1 + sketch + daemon
+#   sh scripts_run_experiments.sh verify   fmt + clippy + study + scale1 + sketch + daemon + perfbench
 #   sh scripts_run_experiments.sh study    traced study at 1 and N threads vs its baselines
 #   sh scripts_run_experiments.sh faults   adversarial fault-injection run
 #   sh scripts_run_experiments.sh scale1   paper-scale setup+harvest gate
@@ -105,6 +105,11 @@ if [ "${1:-}" = "verify" ]; then
   sh "$0" scale1
   sh "$0" sketch
   sh "$0" daemon
+  # perfbench is a workspace of its own that path-depends on the
+  # pipeline and daemon APIs; --locked keeps its Cargo.lock untouched.
+  echo "== perfbench: cargo test --release"
+  CARGO_TARGET_DIR=target cargo test --release --offline --locked -q \
+    --manifest-path perfbench/Cargo.toml
   echo "verify ok"
   exit 0
 fi

@@ -11,8 +11,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hs_landscape::obs::{self, TraceClock};
-use hs_landscape::pipeline::{ExecMode, Pipeline, RunOptions, StageId};
-use hs_landscape::{CancelToken, Halt, MemoryCache, RunControl, StageCache, StudyConfig};
+use hs_landscape::pipeline::{derive_keys, ExecMode, Pipeline, RunOptions, StageId};
+use hs_landscape::{
+    CancelToken, Halt, MemoryCache, RunControl, StageCache, StagePayload, StudyConfig,
+};
 
 fn config() -> StudyConfig {
     StudyConfig::test_scale()
@@ -150,6 +152,72 @@ fn cache_served_rerun_is_byte_identical() {
     let harvest = |run: &hs_landscape::PipelineRun| format!("{:?}", run.artifacts.harvest());
     assert_eq!(scan(&first), scan(&second));
     assert_eq!(harvest(&first), harvest(&second));
+}
+
+/// The payload's address and its reference count, whatever its stage.
+fn arc_of(payload: &StagePayload) -> (*const (), usize) {
+    fn raw<T>(arc: &Arc<T>) -> (*const (), usize) {
+        (Arc::as_ptr(arc).cast(), Arc::strong_count(arc))
+    }
+    match payload {
+        StagePayload::Setup(a) => raw(a),
+        StagePayload::Harvest(a) => raw(a),
+        StagePayload::DeanonWindow(a) => raw(a),
+        StagePayload::PortScan(a) => raw(a),
+        StagePayload::Geomap(a) => raw(a),
+        StagePayload::Certs(a) => raw(a),
+        StagePayload::Crawl(a) => raw(a),
+        StagePayload::Popularity(a) => raw(a),
+        StagePayload::Tracking(a) => raw(a),
+    }
+}
+
+/// Zero copy: a cached run's store holds the very payloads the cache
+/// holds, for stages served from the cache and for stages it just
+/// inserted, and dropping the run releases every reference it took.
+#[test]
+fn cached_run_shares_payloads_with_the_cache() {
+    let cfg = config();
+    let cache = Arc::new(MemoryCache::new(32));
+    let ctl = RunControl {
+        cache: Some(cache.clone() as Arc<dyn StageCache>),
+        ..RunControl::default()
+    };
+    let keys = derive_keys(cfg.seed, cfg.fingerprint(), ctl.epoch_salt);
+    // References to a resident payload besides the probe's own.
+    let owners = |stage: StageId| {
+        let probe = cache.fetch_uncounted(keys[stage as usize]);
+        probe.map(|p| arc_of(&p).1 - 1)
+    };
+    // The first query inserts setup, harvest and port_scan; the second
+    // is served those three and inserts crawl.
+    for targets in [[StageId::PortScan], [StageId::Crawl]] {
+        let plan = StageId::closure(&targets);
+        let before: Vec<Option<usize>> = plan.iter().map(|&s| owners(s)).collect();
+        let run = run_with_ctl(&cfg, &targets, &ctl);
+        assert!(run.halt.is_none() && run.timings.degraded.is_empty());
+        for &stage in &plan {
+            let held = run.artifacts.extract(stage).expect("planned stage ran");
+            let cached = cache
+                .fetch_uncounted(keys[stage as usize])
+                .expect("planned stage cached");
+            assert_eq!(
+                arc_of(&held).0,
+                arc_of(&cached).0,
+                "{stage}: the run holds a copy, not the cached payload"
+            );
+        }
+        drop(run);
+        for (&stage, before) in plan.iter().zip(before) {
+            assert_eq!(
+                owners(stage),
+                Some(before.unwrap_or(1)),
+                "{stage}: the dropped run still holds a reference"
+            );
+        }
+    }
+    let c = cache.counters();
+    assert_eq!((c.hits, c.insertions), (3, 4));
 }
 
 #[test]
