@@ -104,19 +104,21 @@ pub fn derive_keys(seed: u64, config_fingerprint: u64, epoch_salt: u64) -> [Cach
     keys
 }
 
-/// Everything the `Setup` stage deposits, bundled for caching.
+/// Everything the `Setup` stage deposits, bundled for caching. Only
+/// the network changes between the daemon's epochs (`TICK` advances
+/// it), so the rest sits behind `Arc`s every epoch's bundle shares.
 #[derive(Clone, Debug)]
 pub struct SetupBundle {
     /// Ground-truth world.
-    pub world: World,
+    pub world: Arc<World>,
     /// IP-geography database.
-    pub geo: GeoDb,
+    pub geo: Arc<GeoDb>,
     /// Attacker guard relays.
-    pub attacker_guards: Vec<RelayId>,
+    pub attacker_guards: Arc<Vec<RelayId>>,
     /// Network snapshot after setup.
     pub net: Network,
     /// Traffic driver as constructed at setup.
-    pub traffic: TrafficDriver,
+    pub traffic: Arc<TrafficDriver>,
 }
 
 /// Everything the `Harvest` stage deposits, bundled for caching.

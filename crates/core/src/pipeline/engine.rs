@@ -4,17 +4,22 @@
 //!
 //! Execution contract:
 //!
+//! * **Every stage takes one path.** An admit step (halt latch, cache
+//!   probe, degraded-dependency cascade) decides whether it runs; one
+//!   attempt loop runs its body (chaos injection, panic containment,
+//!   retry budget, seeded backoff) and builds its trace lane; one
+//!   settle step deposits the outcome in canonical order.
 //! * **Sim stages** run sequentially in [`StageId::ALL`] order. Each
 //!   clones its input [`Network`] snapshot from the store, so sibling
 //!   stages (`DeanonWindow`, `PortScan`) branch independent timelines
 //!   off the post-harvest state — running or skipping one never
 //!   perturbs the other.
 //! * **Analysis stages** only read sim artifacts (the stage graph has
-//!   no analysis→analysis edge), so all of them launch as one parallel
-//!   wave under [`crossbeam::thread::scope`]. Results are joined and
-//!   deposited in canonical order; with [`ExecMode::Sequential`] they
-//!   run inline instead, which must — and is tested to — produce the
-//!   identical [`ArtifactStore`].
+//!   no analysis→analysis edge), so all of them launch as one
+//!   [`WavePool::map`] wave, one worker per stage. Results settle in
+//!   canonical order; with [`ExecMode::Sequential`] the wave is one
+//!   worker wide and runs inline, which must — and is tested to —
+//!   produce the identical [`ArtifactStore`].
 //! * Randomness comes only from seeds derived in
 //!   [`super::seeds::stage_seed`]; wall-clock time is never consulted
 //!   except for instrumentation.
@@ -51,7 +56,7 @@ use obs::{EventKind, Span, SpanRecorder, Trace, TraceEvent};
 use onion_crypto::onion::OnionAddress;
 use tor_sim::clock::{SimTime, HOUR};
 use tor_sim::network::{Network, RoundTrace};
-use wave::WaveStats;
+use wave::{WavePool, WaveStats};
 
 use hs_content::{CertSurvey, CrawlConfig, Crawler};
 use hs_deanon::{DeanonAttack, GeoMap};
@@ -249,13 +254,17 @@ struct OpSpan {
     args: Vec<(&'static str, u64)>,
 }
 
-/// What one sim-stage attempt collected: its metric registry plus —
-/// when tracing — the sim interval it covered, the consensus rounds it
+/// What one stage attempt collected: its metric registry plus — when
+/// tracing — the sim interval it covered, the consensus rounds it
 /// drove, and its client-op intervals.
 struct StageObs {
     reg: obs::Registry,
     tracing: bool,
+    /// The sim interval a sim stage advanced (set by [`StageObs::begin`]).
     sim: Option<(u64, u64)>,
+    /// Synthetic sim-span weight of a stage with no sim clock of its
+    /// own (analysis stages): the number of items it processed.
+    weight: u64,
     rounds: Vec<RoundTrace>,
     ops: Vec<OpSpan>,
     waves: Vec<WaveStats>,
@@ -267,6 +276,7 @@ impl StageObs {
             reg: obs::Registry::new(),
             tracing,
             sim: None,
+            weight: 0,
             rounds: Vec::new(),
             ops: Vec::new(),
             waves: Vec::new(),
@@ -330,19 +340,207 @@ impl StageObs {
     }
 }
 
-/// Trace-side metadata for one completed analysis stage.
-struct AnalysisMeta {
-    /// Synthetic sim-span weight: the number of items the stage
-    /// processed (analysis stages have no sim clock of their own).
-    weight: u64,
-    /// Wall interval in µs since the run epoch.
-    wall: (u64, u64),
-    /// Attempts consumed (for retry events).
-    attempts: u32,
-    /// Sim-clock backoff that followed each failed attempt.
-    backoffs: Vec<u64>,
-    /// Measurement-wave accounting (crawl only, for shard spans).
-    waves: Vec<WaveStats>,
+/// One stage's pass through the attempt loop: the completed stage, or
+/// its final error and the attempts consumed, plus its trace lane when
+/// tracing.
+struct Attempted {
+    outcome: Result<Completed, (String, u32)>,
+    lane: Option<SpanRecorder>,
+}
+
+/// A stage that completed.
+struct Completed {
+    timing: StageTiming,
+    payload: StagePayload,
+    /// Simulated hours the stage advanced its timeline (zero for
+    /// analysis stages), charged to the run's sim budget.
+    hours: u64,
+    /// The stage's sim interval in the trace.
+    sim: (u64, u64),
+}
+
+/// One run in progress: its fixed context, the artifact store, and the
+/// bookkeeping every stage settles into.
+struct Run<'a> {
+    pipeline: &'a Pipeline,
+    wave_threads: usize,
+    opts: RunOptions,
+    epoch: Instant,
+    ctl: &'a RunControl,
+    cache: Option<KeyedCache<'a>>,
+    store: ArtifactStore,
+    timings: PipelineTimings,
+    failed: BTreeSet<StageId>,
+    /// Per-stage trace lanes, filled only when tracing.
+    recorders: Vec<(StageId, SpanRecorder)>,
+    halt: Option<Halt>,
+    sim_hours_used: u64,
+    /// The sim span the settled stages covered. `sim_hi` is the sim
+    /// frontier: where the next stage's synthetic spans start.
+    sim_lo: u64,
+    sim_hi: u64,
+}
+
+impl Run<'_> {
+    /// The stage boundary every stage passes first. Once any budget
+    /// trips, the halt latches and the rest of the plan is abandoned
+    /// (never degraded — the stages did not fail, the query ran out of
+    /// budget). A cache hit installs the stage as if it had run, and a
+    /// degraded dependency degrades the stage without an attempt.
+    /// Returns whether the stage still has to run.
+    fn admit(&mut self, stage: StageId) -> bool {
+        let log = self.opts.log;
+        if self.halt.is_none() {
+            self.halt = self.ctl.check(self.sim_hours_used);
+            if let Some(h) = self.halt {
+                log.progress(format_args!("pipeline: halting before {stage} ({h})"));
+            }
+        }
+        if self.halt.is_some() {
+            self.timings.halted.push(stage);
+            return false;
+        }
+        if let Some(timing) = install_cached(stage, self.cache.as_ref(), &mut self.store, log) {
+            if self.opts.trace {
+                self.recorders
+                    .push((stage, cache_hit_recorder(self.sim_hi)));
+            }
+            self.timings.executed.push(timing);
+            return false;
+        }
+        if let Some(&dep) = stage.deps().iter().find(|d| self.failed.contains(d)) {
+            log.progress(format_args!(
+                "stage {stage}: skipped, dependency `{dep}` degraded"
+            ));
+            self.timings.degraded.push(DegradedStage {
+                stage,
+                error: format!("dependency `{dep}` degraded"),
+                attempts: 0,
+            });
+            self.failed.insert(stage);
+            if self.opts.trace {
+                self.recorders
+                    .push((stage, degraded_recorder(self.sim_hi, 0)));
+            }
+            return false;
+        }
+        true
+    }
+
+    /// The attempt loop every admitted stage runs through: chaos
+    /// injection, panic containment, and the stage's retry budget, with
+    /// a [`RunControl`] check and a seeded sim-clock backoff at each
+    /// retry boundary (an exhausted budget stops the retry and the
+    /// stage degrades with its last error). It only reads the run, so
+    /// the analysis wave runs several stages' loops at once.
+    fn attempt(&self, stage: StageId) -> Attempted {
+        let log = self.opts.log;
+        let cfg = &self.pipeline.cfg;
+        log.debug(format_args!("stage {stage}: starting"));
+        let started = Instant::now();
+        let wall_start = self.epoch.elapsed().as_micros() as u64;
+        let budget = retry_budget(stage);
+        let mut attempts = 0u32;
+        let mut backoffs: Vec<u64> = Vec::new();
+        let outcome = loop {
+            attempts += 1;
+            let mut sobs = StageObs::new(self.opts.trace);
+            let result = match injected_failure(cfg, stage, attempts) {
+                Some(err) => Err(err),
+                None => panic::catch_unwind(AssertUnwindSafe(|| {
+                    self.pipeline
+                        .body(stage, &self.store, &mut sobs, self.wave_threads)
+                }))
+                .unwrap_or_else(|payload| Err(panic_message(payload))),
+            };
+            match result {
+                Ok(payload) => break Ok((sobs, payload)),
+                // Retry boundary: retry while the stage has budget and
+                // the query's control has not tripped.
+                Err(err) if attempts < budget && self.ctl.check(self.sim_hours_used).is_none() => {
+                    let wait = backoff_secs(cfg.seed, stage, attempts);
+                    log.debug(format_args!(
+                        "stage {stage}: attempt {attempts} failed ({err}); \
+                         retrying after {wait} s sim-clock backoff"
+                    ));
+                    backoffs.push(wait);
+                    backoff_pause(wait);
+                }
+                Err(err) => break Err(err),
+            }
+        };
+        let (mut sobs, payload) = match outcome {
+            Ok(done) => done,
+            Err(error) => {
+                return Attempted {
+                    outcome: Err((error, attempts)),
+                    lane: self
+                        .opts
+                        .trace
+                        .then(|| degraded_recorder(self.sim_hi, attempts)),
+                }
+            }
+        };
+        if attempts > 1 {
+            sobs.reg.inc("retries", u64::from(attempts - 1));
+            sobs.reg
+                .inc("stage_backoff_secs", backoffs.iter().sum::<u64>());
+        }
+        let wall = (wall_start, self.epoch.elapsed().as_micros() as u64);
+        let reg = std::mem::take(&mut sobs.reg);
+        let timing = StageTiming::from_registry(stage, started.elapsed(), reg);
+        log.progress(format_args!(
+            "stage {stage}: done in {:.1} ms",
+            timing.wall.as_secs_f64() * 1e3
+        ));
+        // A stage without a sim clock of its own gets a synthetic span
+        // from the sim frontier, as long as the items it processed, so
+        // the deterministic view still shows relative workloads.
+        let sim = sobs.sim.unwrap_or((self.sim_hi, self.sim_hi + sobs.weight));
+        let hours = sobs.sim.map_or(0, |(s, e)| e.saturating_sub(s) / HOUR);
+        let lane = self.opts.trace.then(|| {
+            stage_recorder(
+                stage, sim, wall, attempts, &backoffs, &timing, &sobs, self.epoch,
+            )
+        });
+        Attempted {
+            outcome: Ok(Completed {
+                timing,
+                payload,
+                hours,
+                sim,
+            }),
+            lane,
+        }
+    }
+
+    /// Settles an attempted stage into the run: a completed stage is
+    /// charged its sim hours and deposited, a failed one degrades.
+    fn settle(&mut self, stage: StageId, attempted: Attempted) {
+        if let Some(lane) = attempted.lane {
+            self.recorders.push((stage, lane));
+        }
+        match attempted.outcome {
+            Ok(done) => {
+                self.sim_hours_used += done.hours;
+                self.sim_lo = self.sim_lo.min(done.sim.0);
+                self.sim_hi = self.sim_hi.max(done.sim.1);
+                self.timings.executed.push(done.timing);
+                deposit(done.payload, self.cache.as_ref(), &mut self.store);
+            }
+            Err((error, attempts)) => {
+                self.opts.log.progress(format_args!(
+                    "stage {stage}: DEGRADED after {attempts} attempt(s): {error}"
+                ));
+                self.timings.degraded.push(DegradedStage {
+                    stage,
+                    error,
+                    attempts,
+                });
+                self.failed.insert(stage);
+            }
+        }
+    }
 }
 
 impl Pipeline {
@@ -391,291 +589,84 @@ impl Pipeline {
             let keys = derive_keys(self.cfg.seed, self.cfg.fingerprint(), ctl.epoch_salt);
             (cache, keys)
         });
-        let mut sim_hours_used: u64 = 0;
-        let mut halt: Option<Halt> = None;
         log.progress(format_args!(
             "pipeline: {} stage(s) planned ({mode:?})",
             plan.len()
         ));
-        let mut store = ArtifactStore::default();
-        let mut timings = PipelineTimings {
-            executed: Vec::with_capacity(plan.len()),
-            skipped: StageId::ALL
-                .iter()
-                .copied()
-                .filter(|s| !plan.contains(s))
-                .collect(),
-            degraded: Vec::new(),
-            halted: Vec::new(),
-            elapsed: Default::default(),
+        let mut run = Run {
+            pipeline: self,
+            wave_threads: mode.wave_threads(),
+            opts,
+            epoch,
+            ctl,
+            cache,
+            store: ArtifactStore::default(),
+            timings: PipelineTimings {
+                executed: Vec::with_capacity(plan.len()),
+                skipped: StageId::ALL
+                    .iter()
+                    .copied()
+                    .filter(|s| !plan.contains(s))
+                    .collect(),
+                degraded: Vec::new(),
+                halted: Vec::new(),
+                elapsed: Default::default(),
+            },
+            failed: BTreeSet::new(),
+            recorders: Vec::new(),
+            halt: None,
+            sim_hours_used: 0,
+            sim_lo: u64::MAX,
+            sim_hi: 0,
         };
-        let mut failed: BTreeSet<StageId> = BTreeSet::new();
-        // Per-stage trace lanes, filled only when tracing.
-        let mut recorders: Vec<(StageId, SpanRecorder)> = Vec::new();
-        // The sim frontier: where the sim prefix's clock ended, which
-        // is where analysis stages' synthetic spans start.
-        let mut sim_lo = u64::MAX;
-        let mut sim_hi = 0u64;
 
         // Sim prefix: strictly sequential, canonical order.
         for &stage in plan.iter().filter(|s| s.kind() == StageKind::Sim) {
-            // Stage boundary: once any budget trips, the halt latches
-            // and the rest of the plan is abandoned (never degraded —
-            // the stages did not fail, the query ran out of budget).
-            if halt.is_none() {
-                halt = ctl.check(sim_hours_used);
-                if let Some(h) = halt {
-                    log.progress(format_args!("pipeline: halting before {stage} ({h})"));
-                }
-            }
-            if halt.is_some() {
-                timings.halted.push(stage);
-                continue;
-            }
-            if let Some(timing) = install_cached(stage, cache.as_ref(), &mut store, log) {
-                if opts.trace {
-                    recorders.push((stage, cache_hit_recorder(sim_hi)));
-                }
-                timings.executed.push(timing);
-                continue;
-            }
-            if let Some(&dep) = stage.deps().iter().find(|d| failed.contains(d)) {
-                log.progress(format_args!(
-                    "stage {stage}: skipped, dependency `{dep}` degraded"
-                ));
-                timings.degraded.push(DegradedStage {
-                    stage,
-                    error: format!("dependency `{dep}` degraded"),
-                    attempts: 0,
-                });
-                failed.insert(stage);
-                if opts.trace {
-                    recorders.push((stage, degraded_recorder(sim_hi, 0)));
-                }
-                continue;
-            }
-            log.debug(format_args!("stage {stage}: starting"));
-            let started = Instant::now();
-            let wall_start = epoch.elapsed().as_micros() as u64;
-            let budget = retry_budget(stage);
-            let mut attempts = 0u32;
-            let mut backoffs: Vec<u64> = Vec::new();
-            let outcome = loop {
-                attempts += 1;
-                let mut sobs = StageObs::new(opts.trace);
-                let wave_threads = mode.wave_threads();
-                let result = match injected_failure(&self.cfg, stage, attempts) {
-                    Some(err) => Err(err),
-                    None => panic::catch_unwind(AssertUnwindSafe(|| match stage {
-                        StageId::Setup => self.sim_setup(&mut sobs, wave_threads),
-                        StageId::Harvest => self.sim_harvest(&store, &mut sobs, wave_threads),
-                        StageId::DeanonWindow => self.sim_deanon_window(&store, &mut sobs),
-                        StageId::PortScan => self.sim_port_scan(&store, &mut sobs, wave_threads),
-                        _ => unreachable!("analysis stage in sim prefix"),
-                    }))
-                    .unwrap_or_else(|payload| Err(panic_message(payload))),
-                };
-                match result {
-                    Ok(payload) => break Ok((sobs, payload)),
-                    Err(err) if attempts < budget => {
-                        // Retry boundary: an exhausted budget stops
-                        // the retry here — the stage degrades with its
-                        // error, and the next stage boundary halts the
-                        // remainder of the plan.
-                        if halt.is_none() {
-                            halt = ctl.check(sim_hours_used);
-                        }
-                        if halt.is_some() {
-                            break Err(err);
-                        }
-                        let wait = backoff_secs(self.cfg.seed, stage, attempts);
-                        log.debug(format_args!(
-                            "stage {stage}: attempt {attempts} failed ({err}); \
-                             retrying after {wait} s sim-clock backoff"
-                        ));
-                        backoffs.push(wait);
-                        backoff_pause(wait);
-                        continue;
-                    }
-                    Err(err) => break Err(err),
-                }
-            };
-            match outcome {
-                Ok((mut sobs, payload)) => {
-                    if attempts > 1 {
-                        sobs.reg.inc("retries", u64::from(attempts - 1));
-                        sobs.reg
-                            .inc("stage_backoff_secs", backoffs.iter().sum::<u64>());
-                    }
-                    // Budget accounting: the simulated hours this
-                    // stage actually advanced its timeline.
-                    if let Some((s, e)) = sobs.sim {
-                        sim_hours_used += e.saturating_sub(s) / HOUR;
-                    }
-                    let wall_end = epoch.elapsed().as_micros() as u64;
-                    let timing = StageTiming::from_registry(stage, started.elapsed(), sobs.reg);
-                    log.progress(format_args!(
-                        "stage {stage}: done in {:.1} ms",
-                        timing.wall.as_secs_f64() * 1e3
-                    ));
-                    if opts.trace {
-                        let sim = sobs.sim.unwrap_or((sim_hi, sim_hi));
-                        sim_lo = sim_lo.min(sim.0);
-                        sim_hi = sim_hi.max(sim.1);
-                        recorders.push((
-                            stage,
-                            sim_stage_recorder(
-                                stage,
-                                sim,
-                                (wall_start, wall_end),
-                                attempts,
-                                &backoffs,
-                                &timing,
-                                &sobs.rounds,
-                                &sobs.ops,
-                                &sobs.waves,
-                                epoch,
-                            ),
-                        ));
-                    }
-                    timings.executed.push(timing);
-                    deposit(payload, cache.as_ref(), &mut store);
-                }
-                Err(error) => {
-                    log.progress(format_args!(
-                        "stage {stage}: DEGRADED after {attempts} attempt(s): {error}"
-                    ));
-                    timings.degraded.push(DegradedStage {
-                        stage,
-                        error,
-                        attempts,
-                    });
-                    failed.insert(stage);
-                    if opts.trace {
-                        recorders.push((stage, degraded_recorder(sim_hi, attempts)));
-                    }
-                }
+            if run.admit(stage) {
+                let attempted = run.attempt(stage);
+                run.settle(stage, attempted);
             }
         }
-        // Where the sim clock ended: analysis stages' synthetic spans
-        // start here (zero when the plan had no sim stage at all).
-        let frontier = sim_hi;
 
-        // Analysis wave: pure functions of the sim artifacts. Stages
-        // whose dependency already degraded never launch; a halted
-        // budget abandons the remainder before dispatch (the analysis
-        // dispatch is itself a stage-attempt boundary).
-        let mut runnable: Vec<StageId> = Vec::new();
-        for &stage in plan.iter().filter(|s| s.kind() == StageKind::Analysis) {
-            if halt.is_none() {
-                halt = ctl.check(sim_hours_used);
-                if let Some(h) = halt {
-                    log.progress(format_args!("pipeline: halting before {stage} ({h})"));
-                }
-            }
-            if halt.is_some() {
-                timings.halted.push(stage);
-                continue;
-            }
-            if let Some(timing) = install_cached(stage, cache.as_ref(), &mut store, log) {
-                if opts.trace {
-                    recorders.push((stage, cache_hit_recorder(sim_hi)));
-                }
-                timings.executed.push(timing);
-                continue;
-            }
-            if let Some(&dep) = stage.deps().iter().find(|d| failed.contains(d)) {
-                log.progress(format_args!(
-                    "stage {stage}: skipped, dependency `{dep}` degraded"
-                ));
-                timings.degraded.push(DegradedStage {
-                    stage,
-                    error: format!("dependency `{dep}` degraded"),
-                    attempts: 0,
-                });
-                failed.insert(stage);
-                if opts.trace {
-                    recorders.push((stage, degraded_recorder(frontier, 0)));
-                }
-            } else {
-                runnable.push(stage);
-            }
-        }
+        // Analysis wave: pure functions of the sim artifacts. Every
+        // stage is admitted first (the analysis dispatch is itself a
+        // stage-attempt boundary), then the runnable ones fork as one
+        // wave: one worker per stage when parallel, since a few uneven
+        // stages sharded onto fewer workers would run crawl and
+        // popularity in series.
+        let runnable: Vec<StageId> = plan
+            .iter()
+            .copied()
+            .filter(|s| s.kind() == StageKind::Analysis)
+            .filter(|&s| run.admit(s))
+            .collect();
         if !runnable.is_empty() {
             log.progress(format_args!(
                 "analysis wave: {} stage(s) ({mode:?})",
                 runnable.len()
             ));
         }
-        let wave_threads = mode.wave_threads();
-        let mut results: Vec<AnalysisResult> = match mode {
-            ExecMode::Sequential { .. } => runnable
-                .iter()
-                .map(|&stage| run_analysis(stage, &self.cfg, &store, epoch, log, wave_threads, ctl))
-                .collect(),
-            ExecMode::Parallel { .. } => {
-                let cfg = &self.cfg;
-                let shared = &store;
-                crossbeam::thread::scope(|scope| {
-                    let handles: Vec<(StageId, _)> = runnable
-                        .iter()
-                        .map(|&stage| {
-                            (
-                                stage,
-                                scope.spawn(move |_| {
-                                    run_analysis(stage, cfg, shared, epoch, log, wave_threads, ctl)
-                                }),
-                            )
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|(stage, h)| {
-                            h.join().unwrap_or_else(|payload| AnalysisResult {
-                                stage,
-                                outcome: Err((panic_message(payload), 1)),
-                            })
-                        })
-                        .collect()
-                })
-                .expect("analysis scope panicked")
-            }
+        let width = match mode {
+            ExecMode::Parallel { .. } => runnable.len(),
+            ExecMode::Sequential { .. } => 1,
         };
-        // Join in canonical order regardless of completion order; this
-        // is also what makes the degraded list identical between
+        let (attempted, _) = WavePool::new(width).map(&runnable, |_, &stage| run.attempt(stage));
+        // Settle in canonical order regardless of completion order;
+        // this is also what makes the degraded list identical between
         // sequential and parallel execution.
-        results.sort_by_key(|r| r.stage);
-        for r in results {
-            match r.outcome {
-                Ok((timing, payload, meta)) => {
-                    deposit(payload, cache.as_ref(), &mut store);
-                    if opts.trace {
-                        let sim = (frontier, frontier + meta.weight);
-                        sim_lo = sim_lo.min(sim.0);
-                        sim_hi = sim_hi.max(sim.1);
-                        recorders.push((
-                            r.stage,
-                            analysis_stage_recorder(r.stage, sim, &timing, &meta, epoch),
-                        ));
-                    }
-                    timings.executed.push(timing);
-                }
-                Err((error, attempts)) => {
-                    log.progress(format_args!(
-                        "stage {}: DEGRADED after {attempts} attempt(s): {error}",
-                        r.stage
-                    ));
-                    if opts.trace {
-                        recorders.push((r.stage, degraded_recorder(frontier, attempts)));
-                    }
-                    timings.degraded.push(DegradedStage {
-                        stage: r.stage,
-                        error,
-                        attempts,
-                    });
-                }
-            }
+        for (stage, attempted) in runnable.into_iter().zip(attempted) {
+            run.settle(stage, attempted);
         }
+
+        let Run {
+            store,
+            mut timings,
+            halt,
+            recorders,
+            sim_lo,
+            sim_hi,
+            ..
+        } = run;
         timings.degraded.sort_by_key(|d| d.stage);
         timings.halted.sort();
         timings.elapsed = epoch.elapsed();
@@ -709,6 +700,29 @@ impl Pipeline {
     /// reports fault counters).
     fn faults_active(&self) -> bool {
         !self.cfg.faults.is_inert()
+    }
+
+    /// `stage`'s un-instrumented body: sim bodies advance a network
+    /// cloned from the store, analysis bodies only read the store. Each
+    /// fills `sobs` and returns the stage's payload.
+    fn body(
+        &self,
+        stage: StageId,
+        store: &ArtifactStore,
+        sobs: &mut StageObs,
+        wave_threads: usize,
+    ) -> Result<StagePayload, String> {
+        match stage {
+            StageId::Setup => self.sim_setup(sobs, wave_threads),
+            StageId::Harvest => self.sim_harvest(store, sobs, wave_threads),
+            StageId::DeanonWindow => self.sim_deanon_window(store, sobs),
+            StageId::PortScan => self.sim_port_scan(store, sobs, wave_threads),
+            StageId::Geomap => analysis_geomap(store, sobs),
+            StageId::Certs => analysis_certs(store, sobs),
+            StageId::Crawl => analysis_crawl(&self.cfg, store, sobs, wave_threads),
+            StageId::Popularity => analysis_popularity(&self.cfg, store, sobs),
+            StageId::Tracking => analysis_tracking(&self.cfg, sobs),
+        }
     }
 
     /// World generation, network build, guard prepositioning, traffic
@@ -763,11 +777,11 @@ impl Pipeline {
         sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
         Ok(StagePayload::Setup(Arc::new(SetupBundle {
-            world,
-            geo,
-            attacker_guards,
+            world: Arc::new(world),
+            geo: Arc::new(geo),
+            attacker_guards: Arc::new(attacker_guards),
             net,
-            traffic,
+            traffic: Arc::new(traffic),
         })))
     }
 
@@ -1038,21 +1052,21 @@ fn deposit(payload: StagePayload, cache: Option<&KeyedCache>, store: &mut Artifa
     }
 }
 
-/// Builds the trace lane for a completed sim stage: the stage span,
-/// one span per attempt, per-round sim spans, client-op spans, and the
-/// typed instant events (retry per failed attempt, fault per faulty
-/// round, one cache summary).
+/// Builds the trace lane for a completed stage: the stage span, one
+/// span per attempt, per-round sim spans, client-op spans, shard spans,
+/// and the typed instant events (retry per failed attempt, fault per
+/// faulty round, one cache summary). Analysis stages drive no rounds
+/// and no client ops, so their lanes hold the stage, attempt and shard
+/// spans only.
 #[allow(clippy::too_many_arguments)]
-fn sim_stage_recorder(
+fn stage_recorder(
     stage: StageId,
     sim: (u64, u64),
     wall: (u64, u64),
     attempts: u32,
     backoffs: &[u64],
     timing: &StageTiming,
-    rounds: &[RoundTrace],
-    ops: &[OpSpan],
-    waves: &[WaveStats],
+    sobs: &StageObs,
     epoch: Instant,
 ) -> SpanRecorder {
     let mut rec = SpanRecorder::new();
@@ -1064,8 +1078,8 @@ fn sim_stage_recorder(
         wall_us: Some(wall),
         args: timing.counters.clone(),
     });
-    push_attempts(&mut rec, sim, Some(wall), attempts, backoffs);
-    for r in rounds {
+    push_attempts(&mut rec, sim, wall, attempts, backoffs);
+    for r in &sobs.rounds {
         rec.span(Span {
             name: "round".to_owned(),
             cat: "sim",
@@ -1088,7 +1102,7 @@ fn sim_stage_recorder(
             });
         }
     }
-    for op in ops {
+    for op in &sobs.ops {
         rec.span(Span {
             name: op.name.to_owned(),
             cat: "ops",
@@ -1098,7 +1112,7 @@ fn sim_stage_recorder(
             args: op.args.clone(),
         });
     }
-    push_shard_spans(&mut rec, sim.1, waves, epoch);
+    push_shard_spans(&mut rec, sim.1, &sobs.waves, epoch);
     // One cache summary per stage, from the historical counters.
     let hits = timing.counter("desc_cache_hits").unwrap_or(0);
     let misses = timing.counter("desc_cache_misses").unwrap_or(0);
@@ -1113,37 +1127,6 @@ fn sim_stage_recorder(
     rec
 }
 
-/// Builds the trace lane for a completed analysis stage. Analysis
-/// stages have no sim clock; their synthetic sim span starts at the
-/// sim frontier with a duration equal to the items processed, so the
-/// deterministic view still shows relative workloads.
-fn analysis_stage_recorder(
-    stage: StageId,
-    sim: (u64, u64),
-    timing: &StageTiming,
-    meta: &AnalysisMeta,
-    epoch: Instant,
-) -> SpanRecorder {
-    let mut rec = SpanRecorder::new();
-    rec.span(Span {
-        name: format!("stage:{stage}"),
-        cat: "stage",
-        sim_start: sim.0,
-        sim_end: sim.1,
-        wall_us: Some(meta.wall),
-        args: timing.counters.clone(),
-    });
-    push_attempts(
-        &mut rec,
-        sim,
-        Some(meta.wall),
-        meta.attempts,
-        &meta.backoffs,
-    );
-    push_shard_spans(&mut rec, sim.1, &meta.waves, epoch);
-    rec
-}
-
 /// Appends one span per attempt plus a retry event per failed attempt
 /// (carrying the sim-clock backoff that followed it). Failed attempts
 /// render as zero-width spans at the stage's sim start (their work was
@@ -1151,7 +1134,7 @@ fn analysis_stage_recorder(
 fn push_attempts(
     rec: &mut SpanRecorder,
     sim: (u64, u64),
-    wall: Option<(u64, u64)>,
+    wall: (u64, u64),
     attempts: u32,
     backoffs: &[u64],
 ) {
@@ -1180,7 +1163,7 @@ fn push_attempts(
         cat: "attempt",
         sim_start: sim.0,
         sim_end: sim.1,
-        wall_us: wall,
+        wall_us: Some(wall),
         args: Vec::new(),
     });
 }
@@ -1265,127 +1248,8 @@ fn assemble_trace(
     trace
 }
 
-/// One analysis stage's outcome: an instrumented artifact (plus trace
-/// metadata), or the error (with attempt count) that degraded it.
-struct AnalysisResult {
-    stage: StageId,
-    outcome: Result<(StageTiming, StagePayload, AnalysisMeta), (String, u32)>,
-}
-
-/// Executes one analysis stage against the (read-only) store, with
-/// panic containment, chaos injection, and the stage retry budget.
-/// The query's [`RunControl`] is consulted at each retry boundary: an
-/// exhausted budget stops the retry and degrades the stage with its
-/// last error.
-#[allow(clippy::too_many_arguments)]
-fn run_analysis(
-    stage: StageId,
-    cfg: &StudyConfig,
-    store: &ArtifactStore,
-    epoch: Instant,
-    log: obs::Logger,
-    wave_threads: usize,
-    ctl: &RunControl,
-) -> AnalysisResult {
-    let started = Instant::now();
-    let wall_start = epoch.elapsed().as_micros() as u64;
-    let budget = retry_budget(stage);
-    let mut attempts = 0u32;
-    let mut backoffs: Vec<u64> = Vec::new();
-    loop {
-        attempts += 1;
-        let result = match injected_failure(cfg, stage, attempts) {
-            Some(err) => Err(err),
-            None => panic::catch_unwind(AssertUnwindSafe(|| {
-                analysis_body(stage, cfg, store, wave_threads)
-            }))
-            .unwrap_or_else(|payload| Err(panic_message(payload))),
-        };
-        match result {
-            Ok((mut reg, out, weight, waves)) => {
-                if attempts > 1 {
-                    reg.inc("retries", u64::from(attempts - 1));
-                    reg.inc("stage_backoff_secs", backoffs.iter().sum::<u64>());
-                }
-                if let Some(w) = waves.first() {
-                    reg.gauge("wave.threads", w.threads as f64);
-                }
-                for w in &waves {
-                    for s in &w.shards {
-                        reg.record("wave.shard_items", s.items as u64);
-                    }
-                }
-                let timing = StageTiming::from_registry(stage, started.elapsed(), reg);
-                log.progress(format_args!(
-                    "stage {stage}: done in {:.1} ms",
-                    timing.wall.as_secs_f64() * 1e3
-                ));
-                let meta = AnalysisMeta {
-                    weight,
-                    wall: (wall_start, epoch.elapsed().as_micros() as u64),
-                    attempts,
-                    backoffs,
-                    waves,
-                };
-                return AnalysisResult {
-                    stage,
-                    outcome: Ok((timing, out, meta)),
-                };
-            }
-            Err(err) if attempts < budget => {
-                // Retry boundary: give up on an exhausted budget
-                // (analysis stages advance zero sim hours, so only
-                // cancellation and the wall deadline can trip here).
-                if ctl.check(0).is_some() {
-                    return AnalysisResult {
-                        stage,
-                        outcome: Err((err, attempts)),
-                    };
-                }
-                let wait = backoff_secs(cfg.seed, stage, attempts);
-                log.debug(format_args!(
-                    "stage {stage}: attempt {attempts} failed ({err}); \
-                     retrying after {wait} s sim-clock backoff"
-                ));
-                backoffs.push(wait);
-                backoff_pause(wait);
-                continue;
-            }
-            Err(err) => {
-                return AnalysisResult {
-                    stage,
-                    outcome: Err((err, attempts)),
-                }
-            }
-        }
-    }
-}
-
-/// The un-instrumented analysis stage body. Returns the stage's metric
-/// registry, its artifact, and the item count its synthetic trace span
-/// uses as duration.
-fn analysis_body(
-    stage: StageId,
-    cfg: &StudyConfig,
-    store: &ArtifactStore,
-    wave_threads: usize,
-) -> Result<AnalysisBodyOut, String> {
-    match stage {
-        StageId::Geomap => analysis_geomap(store),
-        StageId::Certs => analysis_certs(store),
-        StageId::Crawl => analysis_crawl(cfg, store, wave_threads),
-        StageId::Popularity => analysis_popularity(cfg, store),
-        StageId::Tracking => analysis_tracking(cfg),
-        _ => unreachable!("sim stage in analysis wave"),
-    }
-}
-
-/// What an analysis stage body yields: its metric registry, artifact,
-/// synthetic-span weight, and any measurement-wave shard stats.
-type AnalysisBodyOut = (obs::Registry, StagePayload, u64, Vec<WaveStats>);
-
 /// Fig. 3: geographic mapping of the deanonymised clients.
-fn analysis_geomap(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
+fn analysis_geomap(store: &ArtifactStore, sobs: &mut StageObs) -> Result<StagePayload, String> {
     let window = store.try_deanon_window()?;
     let geomap = GeoMap::build(store.try_geo()?, &window.observations);
     let report = DeanonReport {
@@ -1394,21 +1258,17 @@ fn analysis_geomap(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
         expected_rate: window.expected_rate,
         geomap,
     };
-    let weight = window.observations.len() as u64;
-    let mut reg = obs::Registry::new();
-    reg.inc("unique_clients", u64::from(report.unique_clients));
-    reg.inc("countries", report.geomap.country_count() as u64);
-    Ok((
-        reg,
-        StagePayload::Geomap(Arc::new(report)),
-        weight,
-        Vec::new(),
-    ))
+    sobs.weight = window.observations.len() as u64;
+    sobs.reg
+        .inc("unique_clients", u64::from(report.unique_clients));
+    sobs.reg
+        .inc("countries", report.geomap.country_count() as u64);
+    Ok(StagePayload::Geomap(Arc::new(report)))
 }
 
 /// Sec. III: the HTTPS certificate survey over everything the scan saw
 /// answering on 443.
-fn analysis_certs(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
+fn analysis_certs(store: &ArtifactStore, sobs: &mut StageObs) -> Result<StagePayload, String> {
     let https_onions: Vec<OnionAddress> = store
         .try_scan()?
         .open_by_onion
@@ -1417,23 +1277,18 @@ fn analysis_certs(store: &ArtifactStore) -> Result<AnalysisBodyOut, String> {
         .map(|(&onion, _)| onion)
         .collect();
     let certs = CertSurvey::run(store.try_world()?, https_onions);
-    let mut reg = obs::Registry::new();
-    reg.inc("https_destinations", certs.https_destinations);
-    let weight = certs.https_destinations;
-    Ok((
-        reg,
-        StagePayload::Certs(Arc::new(certs)),
-        weight,
-        Vec::new(),
-    ))
+    sobs.reg.inc("https_destinations", certs.https_destinations);
+    sobs.weight = certs.https_destinations;
+    Ok(StagePayload::Certs(Arc::new(certs)))
 }
 
 /// Sec. IV: crawl funnel, Table I, languages, Fig. 2.
 fn analysis_crawl(
     cfg: &StudyConfig,
     store: &ArtifactStore,
+    sobs: &mut StageObs,
     wave_threads: usize,
-) -> Result<AnalysisBodyOut, String> {
+) -> Result<StagePayload, String> {
     let destinations = store.try_scan()?.crawl_destinations();
     // A zero transient rate makes `with_config` the identity of
     // `Crawler::new()` (proved by test), so fault-free crawls are
@@ -1445,7 +1300,7 @@ fn analysis_crawl(
         threads: wave_threads,
     });
     let (crawl, waves) = crawler.run_traced(store.try_world()?, &destinations);
-    let mut reg = obs::Registry::new();
+    let reg = &mut sobs.reg;
     reg.inc("destinations", destinations.len() as u64);
     reg.inc("pages_classified", crawl.classified.len() as u64);
     if cfg.faults.crawl_transient_rate > 0.0 {
@@ -1455,8 +1310,9 @@ fn analysis_crawl(
     }
     reg.merge_hist("crawl.connect_attempts", &crawl.connect_attempts);
     reg.merge_hist("crawl.words_per_page", &crawl.words_per_page);
-    let weight = destinations.len() as u64;
-    Ok((reg, StagePayload::Crawl(Arc::new(crawl)), weight, waves))
+    sobs.record_waves(waves);
+    sobs.weight = destinations.len() as u64;
+    Ok(StagePayload::Crawl(Arc::new(crawl)))
 }
 
 /// Sec. V: descriptor-ID resolution, Table II ranking, Goldnet
@@ -1466,7 +1322,8 @@ fn analysis_crawl(
 fn analysis_popularity(
     cfg: &StudyConfig,
     store: &ArtifactStore,
-) -> Result<AnalysisBodyOut, String> {
+    sobs: &mut StageObs,
+) -> Result<StagePayload, String> {
     let harvest = store.try_harvest()?;
     let world = store.try_world()?;
     let resolver = Resolver::build(
@@ -1482,7 +1339,7 @@ fn analysis_popularity(
     let top_onions: Vec<OnionAddress> = ranking.top(40).iter().map(|r| r.onion).collect();
     let forensics = BotnetForensics::probe(world, top_onions);
     let requested_published_share = requested_published_share(&resolution, world);
-    let mut reg = obs::Registry::new();
+    let reg = &mut sobs.reg;
     reg.inc("requests_resolved", resolution.total_requests);
     reg.inc("ranked", ranking.rows().len() as u64);
     if !cfg.faults.is_inert() {
@@ -1504,24 +1361,19 @@ fn analysis_popularity(
         "popularity.requests_per_onion",
         &resolution.requests_histogram(),
     );
-    let weight = resolution.total_requests;
-    Ok((
-        reg,
-        StagePayload::Popularity(Arc::new(PopularityOut {
-            resolution,
-            ranking,
-            forensics,
-            requested_published_share,
-            sketch,
-        })),
-        weight,
-        Vec::new(),
-    ))
+    sobs.weight = resolution.total_requests;
+    Ok(StagePayload::Popularity(Arc::new(PopularityOut {
+        resolution,
+        ranking,
+        forensics,
+        requested_published_share,
+        sketch,
+    })))
 }
 
 /// Sec. VII: consensus-archive tracking detection. Independent of the
 /// simulated 2013 network — it generates its own 3-year archive.
-fn analysis_tracking(cfg: &StudyConfig) -> Result<AnalysisBodyOut, String> {
+fn analysis_tracking(cfg: &StudyConfig, sobs: &mut StageObs) -> Result<StagePayload, String> {
     let mut archive = ConsensusArchive::generate(&HistoryConfig {
         seed: stage_seed(cfg.seed, SeedDomain::Tracking),
         ..HistoryConfig::default()
@@ -1546,14 +1398,8 @@ fn analysis_tracking(cfg: &StudyConfig) -> Result<AnalysisBodyOut, String> {
         )
     })
     .collect();
-    let weight = archive.len() as u64;
-    let mut reg = obs::Registry::new();
-    reg.inc("consensuses", archive.len() as u64);
-    reg.inc("windows", 3);
-    Ok((
-        reg,
-        StagePayload::Tracking(Arc::new(TrackingReport { years })),
-        weight,
-        Vec::new(),
-    ))
+    sobs.weight = archive.len() as u64;
+    sobs.reg.inc("consensuses", archive.len() as u64);
+    sobs.reg.inc("windows", 3);
+    Ok(StagePayload::Tracking(Arc::new(TrackingReport { years })))
 }

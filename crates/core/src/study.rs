@@ -394,7 +394,9 @@ impl Study {
         // never copies.
         for payload in run.artifacts.into_payloads() {
             match payload {
-                StagePayload::Setup(b) => report.world = Some(Arc::unwrap_or_clone(b).world),
+                StagePayload::Setup(b) => {
+                    report.world = Some(Arc::unwrap_or_clone(Arc::unwrap_or_clone(b).world))
+                }
                 StagePayload::Harvest(b) => report.harvest = Some(Arc::unwrap_or_clone(b).harvest),
                 StagePayload::DeanonWindow(_) => {}
                 StagePayload::PortScan(s) => report.scan = Some(Arc::unwrap_or_clone(s)),

@@ -199,8 +199,10 @@ mod tests {
 
     #[test]
     fn certs_nest() {
-        assert!(CERT_TORHOST_CN < CERT_SELF_SIGNED_MISMATCH);
-        assert!(CERT_SELF_SIGNED_MISMATCH + CERT_CLEARNET_DNS < PORT_443);
+        // Checked at compile time: a constant edit that breaks the
+        // nesting fails the test build.
+        const _: () = assert!(CERT_TORHOST_CN < CERT_SELF_SIGNED_MISMATCH);
+        const _: () = assert!(CERT_SELF_SIGNED_MISMATCH + CERT_CLEARNET_DNS < PORT_443);
     }
 
     #[test]

@@ -96,7 +96,10 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The study every query runs against (seed, scale, faults).
     pub study: StudyConfig,
-    /// Threads for each query's analysis wave.
+    /// Worker budget for each query's in-stage measurement and
+    /// mutate waves. Queries run their analysis stages one at a time
+    /// (`ExecMode::sequential()`), so this is not an analysis-stage
+    /// fan-out.
     pub wave_threads: usize,
     /// Queries allowed to run concurrently before shedding `BUSY`.
     pub max_inflight: usize,
@@ -908,11 +911,12 @@ fn advance_epoch(shared: &Shared, hours: u64) -> Result<Epoch, TickError> {
         world_hash: net.state_hash(),
         opened_at: Instant::now(),
     };
+    // Only the network advances: the next epoch shares everything else.
     let next_bundle = hs_landscape::pipeline::SetupBundle {
-        world: bundle.world.clone(),
-        geo: bundle.geo.clone(),
-        attacker_guards: bundle.attacker_guards.clone(),
-        traffic: bundle.traffic.clone(),
+        world: Arc::clone(&bundle.world),
+        geo: Arc::clone(&bundle.geo),
+        attacker_guards: Arc::clone(&bundle.attacker_guards),
+        traffic: Arc::clone(&bundle.traffic),
         net,
     };
     let next_keys = epoch_keys(shared, next.salt);
@@ -1234,4 +1238,44 @@ fn write_run_reply(
     }
     t.completed.inc();
     writeln!(w, "OK RUN id={id} {tail}").map(|()| QueryOutcome::Ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The resident epoch's Setup bundle, straight from the cache.
+    fn resident_setup(shared: &Shared) -> Arc<hs_landscape::pipeline::SetupBundle> {
+        let salt = locked(&shared.epoch).salt;
+        match shared
+            .cache
+            .fetch_uncounted(epoch_keys(shared, salt)[StageId::Setup as usize])
+        {
+            Some(StagePayload::Setup(bundle)) => bundle,
+            other => panic!("no resident Setup payload: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tick_shares_everything_but_the_network_with_the_previous_epoch() {
+        let daemon = Daemon::bind(DaemonConfig::default()).expect("bind");
+        let shared = &daemon.shared;
+        let before = resident_setup(shared);
+        let next = advance_epoch(shared, 6).expect("tick");
+        assert_eq!(next.id, 1);
+        let after = resident_setup(shared);
+        assert!(
+            !Arc::ptr_eq(&before, &after),
+            "a tick publishes a new bundle"
+        );
+        assert!(Arc::ptr_eq(&before.world, &after.world));
+        assert!(Arc::ptr_eq(&before.geo, &after.geo));
+        assert!(Arc::ptr_eq(&before.attacker_guards, &after.attacker_guards));
+        assert!(Arc::ptr_eq(&before.traffic, &after.traffic));
+        assert_eq!(
+            after.net.time().unix(),
+            before.net.time().unix() + 6 * 3600,
+            "only the network advanced"
+        );
+    }
 }

@@ -313,7 +313,7 @@ proptest! {
                 .iter()
                 .map(|&(key, age_hours)| StoredDescriptor {
                     descriptor_id: DescriptorId::from_digest(
-                        Sha1::digest(&[key, 0x5d]),
+                        Sha1::digest([key, 0x5d]),
                     ),
                     onion: OnionAddress::from_pubkey(&[key]),
                     published: base + (48 + age_hours) * crate::clock::HOUR,

@@ -196,7 +196,7 @@ mod tests {
         let t = SimTime::from_ymd(2013, 2, 4);
         let mut store = DescriptorStore::new();
         let d = desc(b"svc", t);
-        store.publish(d.clone());
+        store.publish(d);
         assert!(store.contains(d.descriptor_id));
         assert_eq!(store.fetch(d.descriptor_id).unwrap().onion, d.onion);
         assert_eq!(store.len(), 1);
@@ -222,7 +222,7 @@ mod tests {
         let mut store = DescriptorStore::new();
         let mut d = desc(b"svc", t);
         let id = d.descriptor_id;
-        store.publish(d.clone());
+        store.publish(d);
         d.published = t + 12 * HOUR;
         store.publish(d);
         store.expire(t + 30 * HOUR);
@@ -239,7 +239,7 @@ mod tests {
         seq.publish(desc(b"pre-existing", t));
         let mut merged = seq.clone();
         for d in &batch {
-            seq.publish(d.clone());
+            seq.publish(*d);
         }
         merged.apply_batch(&batch);
         let render = |s: &DescriptorStore| {
@@ -255,7 +255,7 @@ mod tests {
     fn apply_batch_last_entry_per_id_wins() {
         let t = SimTime::from_ymd(2013, 2, 4);
         let mut early = desc(b"svc", t);
-        let mut late = early.clone();
+        let mut late = early;
         late.published = t + 5 * HOUR;
         early.published = t;
         let id = early.descriptor_id;

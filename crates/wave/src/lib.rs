@@ -105,9 +105,9 @@ impl WaveStats {
     }
 }
 
-/// A fixed-width pool that runs measurement waves. Threads are scoped
-/// per wave (the vendored crossbeam scope), so the pool itself is just
-/// the configured width.
+/// A fixed-width pool that runs measurement waves. Each parallel wave
+/// spawns its workers in a scope it joins before returning, so the
+/// pool itself is just the configured width.
 #[derive(Clone, Copy, Debug)]
 pub struct WavePool {
     threads: usize,
@@ -139,77 +139,25 @@ impl WavePool {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        if self.threads == 1 || items.len() <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-            let end = Instant::now();
-            let stats = WaveStats {
-                threads: self.threads,
-                shards: vec![ShardStat {
-                    shard: 0,
-                    items: items.len(),
-                    start,
-                    end,
-                }],
-            };
-            return (out, stats);
-        }
-        let ranges = shard_ranges(items.len(), self.threads);
-        let f = &f;
-        let run = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+        let shards = shard_ranges(items.len(), self.threads);
+        let (parts, stats) = self.fork_join(shards, |range| {
+            let out: Vec<R> = items[range.clone()]
                 .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move |_| {
-                        let start = Instant::now();
-                        let out: Vec<R> = items[range.clone()]
-                            .iter()
-                            .enumerate()
-                            .map(|(off, t)| f(range.start + off, t))
-                            .collect();
-                        (out, start, Instant::now())
-                    })
-                })
+                .enumerate()
+                .map(|(off, t)| f(range.start + off, t))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
+            (out, range.len())
         });
-        let parts = match run {
-            Ok(parts) => parts,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        let mut out = Vec::with_capacity(items.len());
-        let mut shards = Vec::with_capacity(parts.len());
-        for (shard, (part, start, end)) in parts.into_iter().enumerate() {
-            shards.push(ShardStat {
-                shard,
-                items: part.len(),
-                start,
-                end,
-            });
-            out.extend(part);
-        }
-        (
-            out,
-            WaveStats {
-                threads: self.threads,
-                shards,
-            },
-        )
+        (concat(parts), stats)
     }
 
-    /// Runs `f` once per pre-cut range (one task per range, ranges
-    /// assigned to workers in order), returning the per-range results
-    /// in range order. Pair with [`keyed_ranges`] so no range splits a
-    /// key group: each result then depends only on that range's items,
-    /// and the concatenation is identical at any thread count. `f`
-    /// receives the range's global start index and its subslice.
+    /// Runs `f` once per pre-cut range, each range a task of its own
+    /// (on its own worker when the pool is wider than one), returning
+    /// the per-range results in range order. Pair with [`keyed_ranges`]
+    /// so no range splits a key group: each result then depends only
+    /// on that range's items, and the concatenation is identical at
+    /// any thread count. `f` receives the range's global start index
+    /// and its subslice.
     pub fn map_slices<T, R, F>(
         &self,
         items: &[T],
@@ -221,49 +169,101 @@ impl WavePool {
         R: Send,
         F: Fn(usize, &[T]) -> R + Sync,
     {
-        if self.threads == 1 || ranges.len() <= 1 {
-            let start = Instant::now();
-            let out: Vec<R> = ranges
-                .iter()
-                .map(|r| f(r.start, &items[r.clone()]))
+        self.fork_join(ranges.to_vec(), |range| {
+            (f(range.start, &items[range.clone()]), range.len())
+        })
+    }
+
+    /// Maps `f` over *mutable* items, sharded into balanced contiguous
+    /// chunks carved with `split_at_mut` — each worker owns a disjoint
+    /// chunk, so no locking and no unsafe. `f` receives the global item
+    /// index; per-item results come back in input order. Used by the
+    /// mutate-phase waves (store expiry/flush, per-relay fault
+    /// application) where every unit mutates only its own element.
+    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> (Vec<R>, WaveStats)
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, &mut T) -> R + Sync,
+    {
+        let ranges = shard_ranges(items.len(), self.threads);
+        // Carve the slice into per-shard disjoint chunks up front.
+        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
+        let mut rest = items;
+        for range in &ranges {
+            let (chunk, tail) = rest.split_at_mut(range.len());
+            chunks.push((range.start, chunk));
+            rest = tail;
+        }
+        let (parts, stats) = self.fork_join(chunks, |(offset, chunk)| {
+            let out: Vec<R> = chunk
+                .iter_mut()
+                .enumerate()
+                .map(|(off, t)| f(offset + off, t))
                 .collect();
-            let end = Instant::now();
+            (out, chunk.len())
+        });
+        (concat(parts), stats)
+    }
+
+    /// The one fork/join behind every wave: runs `work` on each task —
+    /// one scoped thread per task, or every task in order on the
+    /// caller's thread when the pool is one wide or there is at most
+    /// one task — and returns the outputs in task order. `work` also
+    /// reports how many items its task covered. An inline wave is one
+    /// shard; a worker's panic resumes on the caller.
+    fn fork_join<P, R>(
+        &self,
+        tasks: Vec<P>,
+        work: impl Fn(P) -> (R, usize) + Sync,
+    ) -> (Vec<R>, WaveStats)
+    where
+        P: Send,
+        R: Send,
+    {
+        if self.threads == 1 || tasks.len() <= 1 {
+            let start = Instant::now();
+            let mut items = 0;
+            let out: Vec<R> = tasks
+                .into_iter()
+                .map(|task| {
+                    let (out, n) = work(task);
+                    items += n;
+                    out
+                })
+                .collect();
+            let shard = ShardStat {
+                shard: 0,
+                items,
+                start,
+                end: Instant::now(),
+            };
             let stats = WaveStats {
                 threads: self.threads,
-                shards: vec![ShardStat {
-                    shard: 0,
-                    items: ranges.iter().map(|r| r.len()).sum(),
-                    start,
-                    end,
-                }],
+                shards: vec![shard],
             };
             return (out, stats);
         }
-        let f = &f;
-        let run = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move |_| {
+        let work = &work;
+        let parts = std::thread::scope(|scope| {
+            let handles: Vec<_> = tasks
+                .into_iter()
+                .map(|task| {
+                    scope.spawn(move || {
                         let start = Instant::now();
-                        let out = f(range.start, &items[range.clone()]);
-                        (out, range.len(), start, Instant::now())
+                        let (out, items) = work(task);
+                        (out, items, start, Instant::now())
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
                 })
                 .collect::<Vec<_>>()
         });
-        let parts = match run {
-            Ok(parts) => parts,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
         let mut out = Vec::with_capacity(parts.len());
         let mut shards = Vec::with_capacity(parts.len());
         for (shard, (part, items, start, end)) in parts.into_iter().enumerate() {
@@ -283,91 +283,19 @@ impl WavePool {
             },
         )
     }
+}
 
-    /// Maps `f` over *mutable* items, sharded into balanced contiguous
-    /// chunks carved with `split_at_mut` — each worker owns a disjoint
-    /// chunk, so no locking and no unsafe. `f` receives the global item
-    /// index; per-item results come back in input order. Used by the
-    /// mutate-phase waves (store expiry/flush, per-relay fault
-    /// application) where every unit mutates only its own element.
-    pub fn map_mut<T, R, F>(&self, items: &mut [T], f: F) -> (Vec<R>, WaveStats)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() <= 1 {
-            let start = Instant::now();
-            let len = items.len();
-            let out: Vec<R> = items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
-            let end = Instant::now();
-            let stats = WaveStats {
-                threads: self.threads,
-                shards: vec![ShardStat {
-                    shard: 0,
-                    items: len,
-                    start,
-                    end,
-                }],
-            };
-            return (out, stats);
-        }
-        let ranges = shard_ranges(items.len(), self.threads);
-        // Carve the slice into per-shard disjoint chunks up front.
-        let mut chunks: Vec<(usize, &mut [T])> = Vec::with_capacity(ranges.len());
-        let mut rest = items;
-        for range in &ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            chunks.push((range.start, chunk));
-            rest = tail;
-        }
-        let f = &f;
-        let run = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|(offset, chunk)| {
-                    scope.spawn(move |_| {
-                        let start = Instant::now();
-                        let out: Vec<R> = chunk
-                            .iter_mut()
-                            .enumerate()
-                            .map(|(off, t)| f(offset + off, t))
-                            .collect();
-                        (out, start, Instant::now())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        let parts = match run {
-            Ok(parts) => parts,
-            Err(payload) => std::panic::resume_unwind(payload),
-        };
-        let mut out = Vec::new();
-        let mut shards = Vec::with_capacity(parts.len());
-        for (shard, (part, start, end)) in parts.into_iter().enumerate() {
-            shards.push(ShardStat {
-                shard,
-                items: part.len(),
-                start,
-                end,
-            });
-            out.extend(part);
-        }
-        (
-            out,
-            WaveStats {
-                threads: self.threads,
-                shards,
-            },
-        )
+/// Concatenates per-shard outputs in shard order; a single shard's
+/// output (every inline wave) is returned as is.
+fn concat<R>(mut parts: Vec<Vec<R>>) -> Vec<R> {
+    if parts.len() == 1 {
+        return parts.pop().unwrap_or_default();
     }
+    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+    for part in parts {
+        out.extend(part);
+    }
+    out
 }
 
 /// SplitMix64 finalizer: avalanches structured key material into
@@ -491,6 +419,56 @@ mod tests {
             let par: Vec<u64> = par.into_iter().flatten().collect();
             assert_eq!(par, seq, "threads={threads}");
             assert_eq!(stats.items(), items.len());
+        }
+    }
+
+    /// Runs `wave`, which must panic, and returns the panic message.
+    fn panic_message_of(wave: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(wave))
+            .expect_err("the worker's panic must reach the caller");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(payload) => payload
+                .downcast::<&str>()
+                .map(|msg| (*msg).to_owned())
+                .unwrap_or_default(),
+        }
+    }
+
+    #[test]
+    fn worker_panics_reach_the_caller_at_any_width() {
+        let items: Vec<u64> = (0..40).collect();
+        let ranges = shard_ranges(items.len(), 8);
+        for threads in [1, 2, 8] {
+            let pool = WavePool::new(threads);
+            let msg = panic_message_of(|| {
+                pool.map(&items, |i, _| {
+                    assert!(i != 37, "map worker failed at item {i}");
+                });
+            });
+            assert!(
+                msg.contains("map worker failed at item 37"),
+                "{threads}: {msg}"
+            );
+            let msg = panic_message_of(|| {
+                pool.map_slices(&items, &ranges, |start, _| {
+                    assert!(start == 0, "map_slices worker failed at {start}");
+                });
+            });
+            assert!(
+                msg.contains("map_slices worker failed at 5"),
+                "{threads}: {msg}"
+            );
+            let mut owned = items.clone();
+            let msg = panic_message_of(|| {
+                pool.map_mut(&mut owned, |i, _| {
+                    assert!(i != 3, "map_mut worker failed at item {i}");
+                });
+            });
+            assert!(
+                msg.contains("map_mut worker failed at item 3"),
+                "{threads}: {msg}"
+            );
         }
     }
 

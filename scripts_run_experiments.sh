@@ -10,8 +10,9 @@
 #   sh scripts_run_experiments.sh sketch   exact-vs-streaming sketch differential gate
 #   sh scripts_run_experiments.sh daemon   golden landscaped session + ticker progression gate
 #
-# The study and daemon gates write their run outputs to a fresh
-# temporary directory, kept (and named in the message) only on failure.
+# Every gate writes its run outputs to a fresh temporary directory,
+# kept (and named in the message) only on failure, so a passing gate
+# leaves the tree as it found it.
 set -e
 RUN=
 DAEMON_PID=
@@ -99,8 +100,8 @@ stop_daemon() {
 if [ "${1:-}" = "verify" ]; then
   echo "== cargo fmt --check"
   cargo fmt --check
-  echo "== cargo clippy --workspace -- -D warnings"
-  cargo clippy --workspace -- -D warnings
+  echo "== cargo clippy --workspace --all-targets -- -D warnings"
+  cargo clippy --workspace --all-targets -- -D warnings
   sh "$0" study
   sh "$0" scale1
   sh "$0" sketch
@@ -220,10 +221,14 @@ if [ "${1:-}" = "sketch" ]; then
   # deterministic fields against the committed baseline and enforces
   # its error and throughput budgets.
   BASELINE=results/bench_sketch_baseline.json
-  CURRENT=results/bench_sketch.json
+  cargo build --release -q -p hs-bench --bin bench_sketch
+  BIN="$(pwd)/target/release/bench_sketch"
+  RUN=$(mktemp -d)
+  CURRENT="$RUN/results/bench_sketch.json"
   echo "== bench_sketch (exact-vs-streaming differential)"
-  cargo run --release -q -p hs-bench --bin bench_sketch \
-    > results/bench_sketch.txt 2> results/bench_sketch.log
+  # Run inside RUN: the binary writes results/bench_sketch.json there.
+  (cd "$RUN" && "$BIN" > bench_sketch.txt 2> bench_sketch.log) \
+    || fail "bench_sketch exited non-zero (see $RUN/bench_sketch.log)"
   strip_volatile() {
     grep -v 'events_per_sec\|budget' "$1"
   }
@@ -242,7 +247,8 @@ if [ "${1:-}" = "sketch" ]; then
   echo "ingest throughput: ${EPS} events/s (floor ${MIN_EPS})"
   awk -v c="$EPS" -v b="$MIN_EPS" 'BEGIN { exit !(c < b) }' \
     && fail "ingest ${EPS} events/s below committed floor ${MIN_EPS}"
-  cat results/bench_sketch.txt
+  cat "$RUN/bench_sketch.txt"
+  rm -rf "$RUN"
   echo "sketch ok"
   exit 0
 fi
@@ -252,10 +258,14 @@ if [ "${1:-}" = "scale1" ]; then
   # identity), then diff the deterministic counters against the
   # committed baseline and enforce its wall-clock budget.
   BASELINE=results/bench_scale1_baseline.json
-  CURRENT=results/bench_scale1.json
+  cargo build --release -q -p hs-bench --bin bench_scale1
+  BIN="$(pwd)/target/release/bench_scale1"
+  RUN=$(mktemp -d)
+  CURRENT="$RUN/results/bench_scale1.json"
   echo "== bench_scale1 (paper-scale setup+harvest)"
-  cargo run --release -q -p hs-bench --bin bench_scale1 \
-    > results/bench_scale1.txt 2> results/bench_scale1.log
+  # Run inside RUN: the binary writes results/bench_scale1.json there.
+  (cd "$RUN" && "$BIN" > bench_scale1.txt 2> bench_scale1.log) \
+    || fail "bench_scale1 exited non-zero (see $RUN/bench_scale1.log)"
   strip_volatile() {
     grep -v 'wall_ms\|threads_n\|speedup\|budget_ms' "$1"
   }
@@ -265,7 +275,8 @@ if [ "${1:-}" = "scale1" ]; then
   echo "threaded wall: ${CUR_MS}ms (budget ${BUDGET_MS}ms)"
   awk -v c="$CUR_MS" -v b="$BUDGET_MS" 'BEGIN { exit !(c > b) }' \
     && fail "scale-1.0 wall ${CUR_MS}ms exceeds committed budget ${BUDGET_MS}ms"
-  cat results/bench_scale1.txt
+  cat "$RUN/bench_scale1.txt"
+  rm -rf "$RUN"
   echo "scale1 ok"
   exit 0
 fi
@@ -277,19 +288,24 @@ if [ "${1:-}" = "faults" ]; then
   # stages degraded) must match the committed baseline exactly: fault
   # injection is deterministic, so any drift is a regression.
   BASELINE=results/bench_stages_faults_baseline.json
-  CURRENT=results/bench_stages.json
+  cargo build --release -q -p hs-landscape --bin landscape
+  LANDSCAPE="$(pwd)/target/release/landscape"
+  RUN=$(mktemp -d)
+  CURRENT="$RUN/results/bench_stages.json"
   echo "== landscape study --scale 0.03 --seed 7 --faults adversarial"
-  cargo run --release -q -p hs-landscape --bin landscape -- \
-    study --scale 0.03 --seed 7 --threads 2 --faults adversarial \
-    > results/faults_study.txt 2> results/faults_study.log
-  grep -q "PARTIAL REPORT" results/faults_study.txt \
+  # Run inside RUN: the CLI writes results/bench_stages.json there.
+  (cd "$RUN" && "$LANDSCAPE" study --scale 0.03 --seed 7 --threads 2 \
+    --faults adversarial > faults_study.txt 2> faults_study.log) \
+    || fail "adversarial study exited non-zero (see $RUN/faults_study.log)"
+  grep -q "PARTIAL REPORT" "$RUN/faults_study.txt" \
     || fail "adversarial run did not degrade into a partial report"
-  grep -q "^faults: " results/faults_study.log \
+  grep -q "^faults: " "$RUN/faults_study.log" \
     || fail "no fault counter summary in the stage timings"
   grep -q '"degraded": \[' "$CURRENT" || fail "no degraded section in $CURRENT"
   grep -Eq '"fetch_drops": [1-9]' "$CURRENT" || fail "adversarial plan injected no fetch drops"
   grep -Eq '"relay_crashes": [1-9]' "$CURRENT" || fail "adversarial plan crashed no relays"
   check_baseline strip_wall "$BASELINE" "$CURRENT" "fault counters"
+  rm -rf "$RUN"
   echo "faults ok"
   exit 0
 fi

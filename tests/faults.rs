@@ -12,7 +12,8 @@
 use std::collections::HashMap;
 use std::fmt::Debug;
 
-use hs_landscape::pipeline::{ExecMode, Pipeline, StageId};
+use hs_landscape::obs::TraceClock;
+use hs_landscape::pipeline::{ExecMode, Pipeline, RunOptions, StageId};
 use hs_landscape::tor_sim::FaultPlan;
 use hs_landscape::{Study, StudyConfig, StudyReport};
 
@@ -161,7 +162,7 @@ fn adversarial_run_is_deterministic_and_degrades_gracefully() {
 #[test]
 fn adversarial_parallel_equals_sequential() {
     // The ExecMode regression: a failing stage inside the parallel
-    // crossbeam wave must produce the same degraded record (order,
+    // analysis wave must produce the same degraded record (order,
     // attempts, error) as the sequential reference.
     let par = Study::new(adversarial_config()).run();
     let seq = Study::new(adversarial_config()).run_sequential();
@@ -238,6 +239,70 @@ fn flaky_stage_is_absorbed_by_retry() {
     }
     assert!(run.artifacts.try_tracking().is_ok());
     assert!(run.artifacts.try_popularity().is_ok());
+}
+
+#[test]
+fn flaky_sim_stage_degrades_after_one_attempt() {
+    // Sim stages share the analysis stages' attempt loop but get a
+    // budget of one: a rerun would fail identically, so even a
+    // transient fault degrades them, with no retry and no backoff.
+    let mut cfg = config();
+    cfg.flaky_stages = vec![StageId::Harvest];
+    for mode in [ExecMode::parallel(), ExecMode::sequential()] {
+        let run = Pipeline::new(cfg.clone()).run_with(
+            &StageId::ALL,
+            mode,
+            RunOptions {
+                trace: true,
+                ..RunOptions::default()
+            },
+        );
+        let degraded: Vec<(StageId, u32)> = run
+            .timings
+            .degraded
+            .iter()
+            .map(|d| (d.stage, d.attempts))
+            .collect();
+        assert_eq!(
+            degraded,
+            vec![
+                (StageId::Harvest, 1),
+                (StageId::DeanonWindow, 0),
+                (StageId::PortScan, 0),
+                (StageId::Geomap, 0),
+                (StageId::Certs, 0),
+                (StageId::Crawl, 0),
+                (StageId::Popularity, 0),
+            ],
+            "{mode:?}"
+        );
+        assert!(
+            run.timings.degraded[0].error.contains("transient"),
+            "{:?}",
+            run.timings.degraded[0].error
+        );
+        let executed: Vec<StageId> = run.timings.executed.iter().map(|t| t.stage).collect();
+        assert_eq!(
+            executed,
+            vec![StageId::Setup, StageId::Tracking],
+            "{mode:?}"
+        );
+        for t in &run.timings.executed {
+            assert_eq!(t.counter("retries"), None, "{mode:?} {}", t.stage);
+            assert_eq!(
+                t.counter("stage_backoff_secs"),
+                None,
+                "{mode:?} {}",
+                t.stage
+            );
+        }
+        let trace = run
+            .trace
+            .expect("traced run")
+            .to_chrome_json(TraceClock::Sim);
+        assert!(!trace.contains("backoff_secs"), "{mode:?}: {trace}");
+        assert!(!trace.contains("failed_attempt"), "{mode:?}: {trace}");
+    }
 }
 
 #[test]
