@@ -1,7 +1,7 @@
 //! Scale-1.0 hot-path benchmarks: the paper-scale network (1,400
-//! relays, ~40k hidden services) driving the three mutate-phase
-//! pillars — descriptor publication rounds, consensus voting, and
-//! churn ticks under the adversarial fault plan.
+//! relays, ~40k hidden services) driving the three parts of a
+//! consensus round — descriptor publication rounds, consensus voting,
+//! and churn ticks under the adversarial fault plan.
 //!
 //! The deterministic counterpart (exact counters + wall budget) lives
 //! in the `bench_scale1` binary and its committed baseline
@@ -40,13 +40,10 @@ fn scale1_net(faults: Option<FaultPlan>) -> Network {
 fn bench_publish_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale1");
     group.sample_size(10);
-    for threads in [1usize, 8] {
-        let mut net = scale1_net(None);
-        net.set_mutate_threads(threads);
-        group.bench_function(format!("publish_round_t{threads}"), |b| {
-            b.iter(|| net.advance_hours(1));
-        });
-    }
+    let mut net = scale1_net(None);
+    group.bench_function("publish_round", |b| {
+        b.iter(|| net.advance_hours(1));
+    });
     group.finish();
 }
 
@@ -59,23 +56,16 @@ fn bench_consensus_vote(c: &mut Criterion) {
     group.bench_function("consensus_vote", |b| {
         b.iter(|| authority.vote(black_box(net.relays()), t));
     });
-    let pool = hs_landscape::wave::WavePool::new(8);
-    group.bench_function("consensus_vote_t8", |b| {
-        b.iter(|| authority.vote_pooled(black_box(net.relays()), t, &pool));
-    });
     group.finish();
 }
 
 fn bench_churn_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("scale1");
     group.sample_size(10);
-    for threads in [1usize, 8] {
-        let mut net = scale1_net(Some(FaultPlan::adversarial(7)));
-        net.set_mutate_threads(threads);
-        group.bench_function(format!("churn_tick_t{threads}"), |b| {
-            b.iter(|| net.advance_hours(1));
-        });
-    }
+    let mut net = scale1_net(Some(FaultPlan::adversarial(7)));
+    group.bench_function("churn_tick", |b| {
+        b.iter(|| net.advance_hours(1));
+    });
     group.finish();
 }
 

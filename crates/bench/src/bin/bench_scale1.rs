@@ -1,5 +1,5 @@
 //! The scale-1.0 benchmark gate: runs the sim prefix (setup + harvest)
-//! of the paper-scale study twice — once at 1 mutate/measurement
+//! of the paper-scale study twice — once at 1 measurement-wave
 //! thread, once at the machine's worker budget — and writes
 //! `results/bench_scale1.json`.
 //!

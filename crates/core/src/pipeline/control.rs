@@ -3,9 +3,10 @@
 //!
 //! The engine never aborts a stage mid-body. Instead it consults the
 //! query's [`RunControl`] at every *stage-attempt boundary* — before a
-//! stage's first attempt, before each retry, and before dispatching
-//! each analysis stage — and halts the remainder of the plan when the
-//! budget is gone. A halted run is a well-formed [`PipelineRun`]: the
+//! stage's first attempt (for a forked level, before the level, with
+//! the sim-hour budget re-checked as each stage settles) and before
+//! each retry — and halts the remainder of the plan when the budget is
+//! gone. A halted run is a well-formed [`PipelineRun`]: the
 //! stages that completed keep their artifacts, the rest are listed in
 //! `timings.halted`, and `PipelineRun::halt` names the reason. That is
 //! what lets `landscaped` turn a cancelled or deadline-expired query
@@ -113,12 +114,17 @@ impl RunControl {
                 return Some(Halt::WallDeadline);
             }
         }
-        if let Some(budget) = self.sim_budget_hours {
-            if sim_hours_used >= budget {
-                return Some(Halt::SimBudget);
-            }
+        if self.sim_budget_spent(sim_hours_used) {
+            return Some(Halt::SimBudget);
         }
         None
+    }
+
+    /// Whether `sim_hours_used` exhausts the sim-hours budget — the
+    /// one deterministic part of [`RunControl::check`].
+    pub fn sim_budget_spent(&self, sim_hours_used: u64) -> bool {
+        self.sim_budget_hours
+            .is_some_and(|budget| sim_hours_used >= budget)
     }
 }
 

@@ -1,25 +1,35 @@
-//! The pipeline engine: plans a stage closure, executes sim stages in
-//! canonical order, and fans the pure analysis stages out across
-//! threads.
+//! The pipeline engine: plans a stage closure, cuts it into dependency
+//! levels, and runs the independent stages of a level side by side.
 //!
 //! Execution contract:
 //!
 //! * **Every stage takes one path.** An admit step (halt latch, cache
 //!   probe, degraded-dependency cascade) decides whether it runs; one
 //!   attempt loop runs its body (chaos injection, panic containment,
-//!   retry budget, seeded backoff) and builds its trace lane; one
-//!   settle step deposits the outcome in canonical order.
-//! * **Sim stages** run sequentially in [`StageId::ALL`] order. Each
-//!   clones its input [`Network`] snapshot from the store, so sibling
-//!   stages (`DeanonWindow`, `PortScan`) branch independent timelines
-//!   off the post-harvest state — running or skipping one never
-//!   perturbs the other.
-//! * **Analysis stages** only read sim artifacts (the stage graph has
-//!   no analysis→analysis edge), so all of them launch as one
-//!   [`WavePool::map`] wave, one worker per stage. Results settle in
-//!   canonical order; with [`ExecMode::Sequential`] the wave is one
-//!   worker wide and runs inline, which must — and is tested to —
-//!   produce the identical [`ArtifactStore`].
+//!   retry budget, seeded backoff); one settle step records the outcome
+//!   (run, cache hit or degraded) and draws the stage's trace lane.
+//! * **Levels.** [`StageId::levels`] cuts the plan greedily in
+//!   canonical order: a level ends just before the first stage that
+//!   depends on one of its stages. The full plan is `[setup]
+//!   [harvest] [deanon_window, port_scan] [geomap, certs, crawl,
+//!   popularity, tracking]`. Sim stages clone their input [`Network`]
+//!   snapshot from the store, so the sim siblings branch independent
+//!   timelines off the post-harvest state; analysis stages only read
+//!   artifacts.
+//! * **The one-thread rule.** [`ExecMode::Sequential`] and any run at
+//!   one wave thread fork nothing: each stage is admitted, attempted
+//!   and settled in turn, in canonical order. Under
+//!   [`ExecMode::Parallel`] with two or more threads, each level
+//!   admits its stages, forks one [`WavePool::map`] worker per runnable
+//!   stage (every stage keeping the run's full wave width), and settles
+//!   them in canonical order.
+//! * **A forked level returns what the sequential order returns**:
+//!   the same artifacts, `timings.executed` order, degraded and halted
+//!   lists, halt reason and sim-clock trace. Settle places synthetic
+//!   lane positions at the sim frontier of that moment, and re-checks
+//!   the sim-hour budget: a sibling that ran speculatively but that
+//!   sequential admission would have refused is dropped (no timing,
+//!   lane or cache entry) and lands in `halted`.
 //! * Randomness comes only from seeds derived in
 //!   [`super::seeds::stage_seed`]; wall-clock time is never consulted
 //!   except for instrumentation.
@@ -28,8 +38,7 @@
 //!   retry budget, and a stage that still fails is *degraded*: it is
 //!   recorded in [`PipelineTimings::degraded`] together with every
 //!   downstream stage that needed its artifact, and the run carries on
-//!   with whatever remains. Sequential and parallel execution must —
-//!   and are tested to — produce the identical degraded list.
+//!   with whatever remains.
 //!
 //! ## Observability
 //!
@@ -79,20 +88,24 @@ use super::stage::{StageId, StageKind};
 use super::timing::{DegradedStage, PipelineTimings, StageTiming};
 use crate::study::StudyConfig;
 
-/// How the pipeline uses threads: whether the analysis stages fan out
-/// across a thread pool, and how many workers the measurement waves
-/// inside the sim stages (scan days, traffic ticks, crawl phases) get.
-/// Wave output is byte-identical at any thread count (see the `wave`
-/// crate), so `wave_threads` is pure wall-clock policy.
+/// How the pipeline uses threads. `wave_threads` is the worker budget
+/// of the measurement waves inside a stage (scan days, traffic ticks,
+/// crawl phases, tracking windows); the mode decides whether the
+/// independent stages of a dependency level also run side by side.
+/// Output is byte-identical in either mode at any thread count, so
+/// both are pure wall-clock policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecMode {
-    /// One thread per analysis stage (the default).
+    /// With two or more wave threads, each level forks one worker per
+    /// runnable stage, and every stage keeps the full wave width. At
+    /// one thread it forks nothing and runs exactly like `Sequential`.
     Parallel {
         /// Worker threads for in-stage measurement waves.
         wave_threads: usize,
     },
-    /// Every stage inline on the calling thread — the reference order
-    /// the parallel mode is tested against.
+    /// One stage at a time on the calling thread, in canonical order —
+    /// the reference order forked levels are tested against, and the
+    /// daemon's mode.
     Sequential {
         /// Worker threads for in-stage measurement waves.
         wave_threads: usize,
@@ -100,12 +113,12 @@ pub enum ExecMode {
 }
 
 impl ExecMode {
-    /// Parallel analysis stages, single-threaded waves.
+    /// Parallel mode at one wave thread (which forks nothing).
     pub fn parallel() -> Self {
         ExecMode::Parallel { wave_threads: 1 }
     }
 
-    /// Inline analysis stages, single-threaded waves.
+    /// Sequential mode at one wave thread.
     pub fn sequential() -> Self {
         ExecMode::Sequential { wave_threads: 1 }
     }
@@ -126,6 +139,11 @@ impl ExecMode {
                 wave_threads
             }
         }
+    }
+
+    /// Whether independent stages of a level run side by side.
+    fn forks_levels(self) -> bool {
+        matches!(self, ExecMode::Parallel { wave_threads } if wave_threads >= 2)
     }
 }
 
@@ -301,23 +319,6 @@ impl StageObs {
         self.waves.extend(waves);
     }
 
-    /// Records the network's mutate-phase wave accounting (churn/fault
-    /// rolls, authority voting, descriptor publish, store merges).
-    /// Wall-only observability: gauges and histograms never enter the
-    /// deterministic outputs, and — unlike measurement waves — mutate
-    /// waves are deliberately kept out of `self.waves` so the trace's
-    /// shard-span lanes stay reserved for the measurement side.
-    fn record_mutate_waves(&mut self, waves: Vec<WaveStats>) {
-        if let Some(w) = waves.first() {
-            self.reg.gauge("mutate_wave.threads", w.threads as f64);
-        }
-        for w in &waves {
-            for s in &w.shards {
-                self.reg.record("mutate_wave.shard_items", s.items as u64);
-            }
-        }
-    }
-
     /// Arms (or re-arms) the network round recorder for this stage and
     /// notes the stage's sim start. Re-arming resets the recorder's
     /// marks, so a stage never inherits deltas from the snapshot it
@@ -340,23 +341,32 @@ impl StageObs {
     }
 }
 
-/// One stage's pass through the attempt loop: the completed stage, or
-/// its final error and the attempts consumed, plus its trace lane when
-/// tracing.
-struct Attempted {
-    outcome: Result<Completed, (String, u32)>,
-    lane: Option<SpanRecorder>,
-}
-
-/// A stage that completed.
+/// A stage that completed its attempt loop: its payload, plus what
+/// settle needs to draw its trace lane.
 struct Completed {
     timing: StageTiming,
     payload: StagePayload,
-    /// Simulated hours the stage advanced its timeline (zero for
-    /// analysis stages), charged to the run's sim budget.
-    hours: u64,
-    /// The stage's sim interval in the trace.
-    sim: (u64, u64),
+    /// The final attempt's observations (its registry already moved
+    /// into `timing`).
+    sobs: StageObs,
+    /// The attempt loop's wall interval since the run epoch.
+    wall: (u64, u64),
+    attempts: u32,
+    /// The sim-clock backoff after each failed attempt.
+    backoffs: Vec<u64>,
+}
+
+/// Where a stage stands between admission and settlement.
+enum Outcome {
+    /// Abandoned: the run's halt has latched.
+    Halted,
+    /// Served from the content-addressed cache.
+    Cached(StagePayload),
+    /// Degraded without an attempt: this dependency degraded.
+    DepDegraded(StageId),
+    /// The attempt loop's result: the completed stage, or its final
+    /// error and the attempts consumed.
+    Ran(Result<Box<Completed>, (String, u32)>),
 }
 
 /// One run in progress: its fixed context, the artifact store, and the
@@ -375,8 +385,12 @@ struct Run<'a> {
     recorders: Vec<(StageId, SpanRecorder)>,
     halt: Option<Halt>,
     sim_hours_used: u64,
-    /// The sim span the settled stages covered. `sim_hi` is the sim
-    /// frontier: where the next stage's synthetic spans start.
+    /// The sim frontier: the latest sim instant a settled stage's own
+    /// clock reached. Synthetic positions (analysis spans, cache hits,
+    /// degradations) start here; analysis spans never move it.
+    frontier: u64,
+    /// The sim span the settled stages covered, synthetic spans
+    /// included.
     sim_lo: u64,
     sim_hi: u64,
 }
@@ -385,46 +399,31 @@ impl Run<'_> {
     /// The stage boundary every stage passes first. Once any budget
     /// trips, the halt latches and the rest of the plan is abandoned
     /// (never degraded — the stages did not fail, the query ran out of
-    /// budget). A cache hit installs the stage as if it had run, and a
-    /// degraded dependency degrades the stage without an attempt.
-    /// Returns whether the stage still has to run.
-    fn admit(&mut self, stage: StageId) -> bool {
-        let log = self.opts.log;
+    /// budget). Returns the stage's outcome when admission decides it
+    /// (halted, cache hit, degraded dependency), or `None` when the
+    /// stage has to run.
+    fn admit(&mut self, stage: StageId) -> Option<Outcome> {
         if self.halt.is_none() {
             self.halt = self.ctl.check(self.sim_hours_used);
             if let Some(h) = self.halt {
-                log.progress(format_args!("pipeline: halting before {stage} ({h})"));
+                self.opts
+                    .log
+                    .progress(format_args!("pipeline: halting before {stage} ({h})"));
             }
         }
         if self.halt.is_some() {
-            self.timings.halted.push(stage);
-            return false;
+            return Some(Outcome::Halted);
         }
-        if let Some(timing) = install_cached(stage, self.cache.as_ref(), &mut self.store, log) {
-            if self.opts.trace {
-                self.recorders
-                    .push((stage, cache_hit_recorder(self.sim_hi)));
+        if let Some((cache, keys)) = &self.cache {
+            if let Some(payload) = cache.lookup(keys[stage as usize]) {
+                return Some(Outcome::Cached(payload));
             }
-            self.timings.executed.push(timing);
-            return false;
         }
-        if let Some(&dep) = stage.deps().iter().find(|d| self.failed.contains(d)) {
-            log.progress(format_args!(
-                "stage {stage}: skipped, dependency `{dep}` degraded"
-            ));
-            self.timings.degraded.push(DegradedStage {
-                stage,
-                error: format!("dependency `{dep}` degraded"),
-                attempts: 0,
-            });
-            self.failed.insert(stage);
-            if self.opts.trace {
-                self.recorders
-                    .push((stage, degraded_recorder(self.sim_hi, 0)));
-            }
-            return false;
-        }
-        true
+        stage
+            .deps()
+            .iter()
+            .find(|d| self.failed.contains(d))
+            .map(|&dep| Outcome::DepDegraded(dep))
     }
 
     /// The attempt loop every admitted stage runs through: chaos
@@ -432,8 +431,8 @@ impl Run<'_> {
     /// a [`RunControl`] check and a seeded sim-clock backoff at each
     /// retry boundary (an exhausted budget stops the retry and the
     /// stage degrades with its last error). It only reads the run, so
-    /// the analysis wave runs several stages' loops at once.
-    fn attempt(&self, stage: StageId) -> Attempted {
+    /// a forked level runs several stages' loops at once.
+    fn attempt(&self, stage: StageId) -> Result<Box<Completed>, (String, u32)> {
         let log = self.opts.log;
         let cfg = &self.pipeline.cfg;
         log.debug(format_args!("stage {stage}: starting"));
@@ -442,7 +441,7 @@ impl Run<'_> {
         let budget = retry_budget(stage);
         let mut attempts = 0u32;
         let mut backoffs: Vec<u64> = Vec::new();
-        let outcome = loop {
+        let (mut sobs, payload) = loop {
             attempts += 1;
             let mut sobs = StageObs::new(self.opts.trace);
             let result = match injected_failure(cfg, stage, attempts) {
@@ -454,7 +453,7 @@ impl Run<'_> {
                 .unwrap_or_else(|payload| Err(panic_message(payload))),
             };
             match result {
-                Ok(payload) => break Ok((sobs, payload)),
+                Ok(payload) => break (sobs, payload),
                 // Retry boundary: retry while the stage has budget and
                 // the query's control has not tripped.
                 Err(err) if attempts < budget && self.ctl.check(self.sim_hours_used).is_none() => {
@@ -466,19 +465,7 @@ impl Run<'_> {
                     backoffs.push(wait);
                     backoff_pause(wait);
                 }
-                Err(err) => break Err(err),
-            }
-        };
-        let (mut sobs, payload) = match outcome {
-            Ok(done) => done,
-            Err(error) => {
-                return Attempted {
-                    outcome: Err((error, attempts)),
-                    lane: self
-                        .opts
-                        .trace
-                        .then(|| degraded_recorder(self.sim_hi, attempts)),
-                }
+                Err(err) => return Err((err, attempts)),
             }
         };
         if attempts > 1 {
@@ -493,53 +480,113 @@ impl Run<'_> {
             "stage {stage}: done in {:.1} ms",
             timing.wall.as_secs_f64() * 1e3
         ));
-        // A stage without a sim clock of its own gets a synthetic span
-        // from the sim frontier, as long as the items it processed, so
-        // the deterministic view still shows relative workloads.
-        let sim = sobs.sim.unwrap_or((self.sim_hi, self.sim_hi + sobs.weight));
-        let hours = sobs.sim.map_or(0, |(s, e)| e.saturating_sub(s) / HOUR);
-        let lane = self.opts.trace.then(|| {
-            stage_recorder(
-                stage, sim, wall, attempts, &backoffs, &timing, &sobs, self.epoch,
-            )
-        });
-        Attempted {
-            outcome: Ok(Completed {
-                timing,
-                payload,
-                hours,
-                sim,
-            }),
-            lane,
+        Ok(Box::new(Completed {
+            timing,
+            payload,
+            sobs,
+            wall,
+            attempts,
+            backoffs,
+        }))
+    }
+
+    /// Records a stage's outcome, in canonical order. The sim-hour
+    /// budget is re-checked first: a stage that ran beside siblings
+    /// settled before it is kept only if sequential admission, after
+    /// those siblings, would have admitted it. A completed stage is
+    /// charged its sim hours and deposited, a cache hit is installed,
+    /// a failed one degrades; each draws its lane at the sim frontier
+    /// of this moment.
+    fn settle(&mut self, stage: StageId, mut outcome: Outcome) {
+        let (log, trace) = (self.opts.log, self.opts.trace);
+        if self.halt.is_none() && self.ctl.sim_budget_spent(self.sim_hours_used) {
+            self.halt = Some(Halt::SimBudget);
+            log.progress(format_args!(
+                "pipeline: halting before {stage} ({})",
+                Halt::SimBudget
+            ));
+        }
+        if self.halt.is_some() {
+            outcome = Outcome::Halted;
+        }
+        let at = self.frontier;
+        let lane = match outcome {
+            Outcome::Halted => {
+                self.timings.halted.push(stage);
+                None
+            }
+            // A hit installs the cached payload (a pointer clone) as if
+            // the stage had run, advancing zero sim hours.
+            Outcome::Cached(payload) => {
+                let started = Instant::now();
+                self.store.install(&payload);
+                let mut reg = obs::Registry::new();
+                reg.inc("stage_cache_hit", 1);
+                log.progress(format_args!("stage {stage}: served from cache"));
+                self.timings.executed.push(StageTiming::from_registry(
+                    stage,
+                    started.elapsed(),
+                    reg,
+                ));
+                trace.then(|| cache_hit_recorder(at))
+            }
+            Outcome::DepDegraded(dep) => {
+                log.progress(format_args!(
+                    "stage {stage}: skipped, dependency `{dep}` degraded"
+                ));
+                self.degrade(stage, format!("dependency `{dep}` degraded"), 0);
+                trace.then(|| degraded_recorder(at, 0))
+            }
+            Outcome::Ran(Ok(done)) => {
+                let done = *done;
+                // A stage without a sim clock of its own gets a
+                // synthetic span from the frontier, as long as the
+                // items it processed, so the deterministic view still
+                // shows relative workloads.
+                let sim = done.sobs.sim.unwrap_or((at, at + done.sobs.weight));
+                if let Some((start, end)) = done.sobs.sim {
+                    self.sim_hours_used += end.saturating_sub(start) / HOUR;
+                    self.frontier = self.frontier.max(end);
+                }
+                self.sim_lo = self.sim_lo.min(sim.0);
+                self.sim_hi = self.sim_hi.max(sim.1);
+                let lane = trace.then(|| {
+                    stage_recorder(
+                        stage,
+                        sim,
+                        done.wall,
+                        done.attempts,
+                        &done.backoffs,
+                        &done.timing,
+                        &done.sobs,
+                        self.epoch,
+                    )
+                });
+                self.timings.executed.push(done.timing);
+                deposit(done.payload, self.cache.as_ref(), &mut self.store);
+                lane
+            }
+            Outcome::Ran(Err((error, attempts))) => {
+                log.progress(format_args!(
+                    "stage {stage}: DEGRADED after {attempts} attempt(s): {error}"
+                ));
+                self.degrade(stage, error, attempts);
+                trace.then(|| degraded_recorder(at, attempts))
+            }
+        };
+        if let Some(lane) = lane {
+            self.recorders.push((stage, lane));
         }
     }
 
-    /// Settles an attempted stage into the run: a completed stage is
-    /// charged its sim hours and deposited, a failed one degrades.
-    fn settle(&mut self, stage: StageId, attempted: Attempted) {
-        if let Some(lane) = attempted.lane {
-            self.recorders.push((stage, lane));
-        }
-        match attempted.outcome {
-            Ok(done) => {
-                self.sim_hours_used += done.hours;
-                self.sim_lo = self.sim_lo.min(done.sim.0);
-                self.sim_hi = self.sim_hi.max(done.sim.1);
-                self.timings.executed.push(done.timing);
-                deposit(done.payload, self.cache.as_ref(), &mut self.store);
-            }
-            Err((error, attempts)) => {
-                self.opts.log.progress(format_args!(
-                    "stage {stage}: DEGRADED after {attempts} attempt(s): {error}"
-                ));
-                self.timings.degraded.push(DegradedStage {
-                    stage,
-                    error,
-                    attempts,
-                });
-                self.failed.insert(stage);
-            }
-        }
+    /// Records `stage` as degraded, so its dependents degrade too.
+    fn degrade(&mut self, stage: StageId, error: String, attempts: u32) {
+        self.timings.degraded.push(DegradedStage {
+            stage,
+            error,
+            attempts,
+        });
+        self.failed.insert(stage);
     }
 }
 
@@ -565,8 +612,8 @@ impl Pipeline {
 
     /// [`Pipeline::run_with`] under a query's [`RunControl`]: the
     /// cancellation token and deadline budgets are consulted at every
-    /// stage-attempt boundary (before each stage, before each retry,
-    /// before the analysis dispatch), and — when the control carries a
+    /// stage-attempt boundary (before each stage or forked level,
+    /// before each retry), and — when the control carries a
     /// cache — every stage first probes the content-addressed cache
     /// and deposits its output there on completion. Stages abandoned
     /// by an exhausted budget land in [`PipelineTimings::halted`] and
@@ -616,46 +663,44 @@ impl Pipeline {
             recorders: Vec::new(),
             halt: None,
             sim_hours_used: 0,
+            frontier: 0,
             sim_lo: u64::MAX,
             sim_hi: 0,
         };
 
-        // Sim prefix: strictly sequential, canonical order.
-        for &stage in plan.iter().filter(|s| s.kind() == StageKind::Sim) {
-            if run.admit(stage) {
-                let attempted = run.attempt(stage);
-                run.settle(stage, attempted);
-            }
-        }
-
-        // Analysis wave: pure functions of the sim artifacts. Every
-        // stage is admitted first (the analysis dispatch is itself a
-        // stage-attempt boundary), then the runnable ones fork as one
-        // wave: one worker per stage when parallel, since a few uneven
-        // stages sharded onto fewer workers would run crawl and
-        // popularity in series.
-        let runnable: Vec<StageId> = plan
-            .iter()
-            .copied()
-            .filter(|s| s.kind() == StageKind::Analysis)
-            .filter(|&s| run.admit(s))
-            .collect();
-        if !runnable.is_empty() {
-            log.progress(format_args!(
-                "analysis wave: {} stage(s) ({mode:?})",
-                runnable.len()
-            ));
-        }
-        let width = match mode {
-            ExecMode::Parallel { .. } => runnable.len(),
-            ExecMode::Sequential { .. } => 1,
+        // A forking run takes a level at a time; any other run takes
+        // one stage at a time, which is the sequential order.
+        let groups: Vec<&[StageId]> = if mode.forks_levels() {
+            StageId::levels(&plan)
+        } else {
+            plan.chunks(1).collect()
         };
-        let (attempted, _) = WavePool::new(width).map(&runnable, |_, &stage| run.attempt(stage));
-        // Settle in canonical order regardless of completion order;
-        // this is also what makes the degraded list identical between
-        // sequential and parallel execution.
-        for (stage, attempted) in runnable.into_iter().zip(attempted) {
-            run.settle(stage, attempted);
+        for group in groups {
+            let admitted: Vec<(StageId, Option<Outcome>)> =
+                group.iter().map(|&s| (s, run.admit(s))).collect();
+            let runnable: Vec<StageId> = admitted
+                .iter()
+                .filter(|(_, outcome)| outcome.is_none())
+                .map(|&(s, _)| s)
+                .collect();
+            if runnable.len() > 1 {
+                log.progress(format_args!(
+                    "level: {} stages side by side",
+                    runnable.len()
+                ));
+            }
+            // One worker per runnable stage; each keeps the full wave
+            // width for its own measurement waves.
+            let (ran, _) = WavePool::new(runnable.len())
+                .map(&runnable, |_, &stage| Outcome::Ran(run.attempt(stage)));
+            // Settle in canonical order regardless of completion order,
+            // each runnable stage taking its attempt's result.
+            let mut ran = ran.into_iter();
+            for (stage, outcome) in admitted {
+                if let Some(outcome) = outcome.or_else(|| ran.next()) {
+                    run.settle(stage, outcome);
+                }
+            }
         }
 
         let Run {
@@ -721,7 +766,7 @@ impl Pipeline {
             StageId::Certs => analysis_certs(store, sobs),
             StageId::Crawl => analysis_crawl(&self.cfg, store, sobs, wave_threads),
             StageId::Popularity => analysis_popularity(&self.cfg, store, sobs),
-            StageId::Tracking => analysis_tracking(&self.cfg, sobs),
+            StageId::Tracking => analysis_tracking(&self.cfg, sobs, wave_threads),
         }
     }
 
@@ -746,10 +791,6 @@ impl Pipeline {
             .start(SimTime::from_ymd(2013, 2, 1))
             .faults(fault_plan)
             .build();
-        // Mutate-phase waves (churn, voting, publish, store merges)
-        // share the measurement-wave worker budget. Snapshots cloned
-        // off this network inherit the setting.
-        net.set_mutate_threads(wave_threads);
         sobs.begin(&mut net);
         world.register_all(&mut net);
         // The attacker's guard relays run long before the measurement:
@@ -774,7 +815,6 @@ impl Pipeline {
         if self.faults_active() {
             net.fault_counters().record_into(&mut sobs.reg);
         }
-        sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
         Ok(StagePayload::Setup(Arc::new(SetupBundle {
             world: Arc::new(world),
@@ -877,7 +917,6 @@ impl Pipeline {
             sobs.reg.inc("sketch_batches", s.batches);
             sobs.reg.gauge("sketch.memory_bytes", s.memory_bytes as f64);
         }
-        sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
         Ok(StagePayload::Harvest(Arc::new(HarvestBundle {
             harvest,
@@ -947,7 +986,6 @@ impl Pipeline {
                 .since(faults0)
                 .record_into(&mut sobs.reg);
         }
-        sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
         Ok(StagePayload::DeanonWindow(Arc::new(DeanonWindowOut {
             target,
@@ -1015,7 +1053,6 @@ impl Pipeline {
                 });
             }
         }
-        sobs.record_mutate_waves(net.take_mutate_wave_stats());
         sobs.end(&mut net);
         Ok(StagePayload::PortScan(Arc::new(scan)))
     }
@@ -1023,25 +1060,6 @@ impl Pipeline {
 
 /// A controlled run's stage cache and its per-stage key chain.
 type KeyedCache<'a> = (&'a dyn StageCache, [CacheKey; 9]);
-
-/// Content-addressed cache probe: a hit installs the cached payload (a
-/// pointer clone) exactly as if the stage had run, advancing zero sim
-/// hours and consuming no randomness, and returns the hit's timing.
-fn install_cached(
-    stage: StageId,
-    cache: Option<&KeyedCache>,
-    store: &mut ArtifactStore,
-    log: obs::Logger,
-) -> Option<StageTiming> {
-    let (cache, keys) = cache?;
-    let payload = cache.lookup(keys[stage as usize])?;
-    let started = Instant::now();
-    store.install(&payload);
-    let mut reg = obs::Registry::new();
-    reg.inc("stage_cache_hit", 1);
-    log.progress(format_args!("stage {stage}: served from cache"));
-    Some(StageTiming::from_registry(stage, started.elapsed(), reg))
-}
 
 /// Deposits a completed stage's payload into the store and, when the
 /// run has a cache, under the stage's key: both hold the same payload.
@@ -1219,7 +1237,7 @@ fn degraded_recorder(sim_at: u64, attempts: u32) -> SpanRecorder {
 /// Merges per-stage recorders into the final [`Trace`]: lane 0 is the
 /// run itself, then one lane per stage in canonical [`StageId::ALL`]
 /// order (tid = index + 1), which keeps the export deterministic no
-/// matter how the parallel wave interleaved.
+/// matter how a forked level interleaved.
 fn assemble_trace(
     mut recorders: Vec<(StageId, SpanRecorder)>,
     sim_lo: u64,
@@ -1372,21 +1390,25 @@ fn analysis_popularity(
 }
 
 /// Sec. VII: consensus-archive tracking detection. Independent of the
-/// simulated 2013 network — it generates its own 3-year archive.
-fn analysis_tracking(cfg: &StudyConfig, sobs: &mut StageObs) -> Result<StagePayload, String> {
+/// simulated 2013 network — it generates its own 3-year archive. The
+/// three yearly windows run as one wave.
+fn analysis_tracking(
+    cfg: &StudyConfig,
+    sobs: &mut StageObs,
+    wave_threads: usize,
+) -> Result<StagePayload, String> {
     let mut archive = ConsensusArchive::generate(&HistoryConfig {
         seed: stage_seed(cfg.seed, SeedDomain::Tracking),
         ..HistoryConfig::default()
     });
     scenario::inject_all(&mut archive, scenario::silkroad());
     let detector = TrackingDetector::new(DetectorConfig::default());
-    let years = [
+    let windows = [
         ("year 1 (Feb–Dec 2011)", (2011, 2, 1), (2011, 12, 31)),
         ("year 2 (2012)", (2012, 1, 1), (2012, 12, 31)),
         ("year 3 (Jan–Oct 2013)", (2013, 1, 1), (2013, 10, 31)),
-    ]
-    .into_iter()
-    .map(|(label, s, e)| {
+    ];
+    let (years, wave) = WavePool::new(wave_threads).map(&windows, |_, &(label, s, e)| {
         (
             label.to_owned(),
             detector.analyse(
@@ -1396,8 +1418,8 @@ fn analysis_tracking(cfg: &StudyConfig, sobs: &mut StageObs) -> Result<StagePayl
                 SimTime::from_ymd(e.0, e.1, e.2),
             ),
         )
-    })
-    .collect();
+    });
+    sobs.record_waves(vec![wave]);
     sobs.weight = archive.len() as u64;
     sobs.reg.inc("consensuses", archive.len() as u64);
     sobs.reg.inc("windows", 3);

@@ -4,8 +4,8 @@
 //! nine stages over a typed [`ArtifactStore`]:
 //!
 //! ```text
-//!  sim (sequential, canonical order)        analysis (parallel wave)
-//!  ─────────────────────────────────        ────────────────────────
+//!  level 1   level 2   level 3              level 4
+//!  ───────   ───────   ───────────────      ───────────
 //!  setup ─→ harvest ─┬─→ deanon_window ──→  geomap
 //!                    ├─→ port_scan ─┬────→  certs
 //!                    │              └────→  crawl
@@ -18,8 +18,8 @@
 //!   study seed;
 //! * [`artifacts`] is the typed store stages read and write;
 //! * [`timing`] records per-stage wall clock and domain counters;
-//! * [`engine`] plans a closure and executes it, sequentially or with
-//!   the analysis stages fanned out across threads.
+//! * [`engine`] plans a closure and executes it, one stage at a time
+//!   or with the independent stages of each level side by side.
 //!
 //! Selective runs (`Pipeline::run(&[StageId::PortScan], …)`) execute
 //! exactly the dependency closure of the requested stages and are

@@ -1,21 +1,21 @@
 //! The stage graph: identifiers, kinds, and dependency closure.
 //!
 //! The study pipeline is a fixed DAG of nine stages. **Sim stages**
-//! mutate a [`tor_sim::network::Network`] and always execute in the
-//! order they appear in [`StageId::ALL`]; each one snapshots the
+//! advance a [`tor_sim::network::Network`]; each one snapshots the
 //! network it produced, and downstream sim stages branch from their
 //! input snapshot (which is what makes `DeanonWindow` and `PortScan`
 //! independent siblings of the harvest). **Analysis stages** are pure
-//! functions of earlier artifacts and may run in parallel.
+//! functions of earlier artifacts. [`StageId::levels`] cuts a plan into
+//! dependency levels whose stages may run side by side.
 
 use std::fmt;
 
 /// What a stage is allowed to touch.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StageKind {
-    /// Advances the simulated network; ordered and sequential.
+    /// Advances a cloned network snapshot on its own sim clock.
     Sim,
-    /// Pure computation over existing artifacts; parallelizable.
+    /// Pure computation over existing artifacts.
     Analysis,
 }
 
@@ -45,7 +45,7 @@ pub enum StageId {
 
 impl StageId {
     /// Every stage, in canonical execution order. Sim stages come
-    /// first and run sequentially in exactly this order.
+    /// first; stages settle in exactly this order.
     pub const ALL: [StageId; 9] = [
         StageId::Setup,
         StageId::Harvest,
@@ -130,6 +130,26 @@ impl StageId {
             .filter_map(|(&s, n)| n.then_some(s))
             .collect()
     }
+
+    /// Cuts `plan` (a [`StageId::closure`], in canonical order) into
+    /// dependency levels, greedily: a level ends just before the first
+    /// stage that depends on one of its stages. No stage reads an
+    /// artifact of its own level, so a level's stages may run side by
+    /// side once the levels before it have settled.
+    pub fn levels(plan: &[StageId]) -> Vec<&[StageId]> {
+        let mut levels = Vec::new();
+        let mut start = 0;
+        for (i, stage) in plan.iter().enumerate() {
+            if stage.deps().iter().any(|d| plan[start..i].contains(d)) {
+                levels.push(&plan[start..i]);
+                start = i;
+            }
+        }
+        if start < plan.len() {
+            levels.push(&plan[start..]);
+        }
+        levels
+    }
 }
 
 impl fmt::Display for StageId {
@@ -196,6 +216,36 @@ mod tests {
                 assert!(j < i, "{s} depends on later stage {d}");
             }
         }
+    }
+
+    #[test]
+    fn levels_cut_before_the_first_dependent_stage() {
+        use StageId::*;
+        assert_eq!(
+            StageId::levels(&StageId::closure(&StageId::ALL)),
+            vec![
+                &[Setup][..],
+                &[Harvest],
+                &[DeanonWindow, PortScan],
+                &[Geomap, Certs, Crawl, Popularity, Tracking],
+            ]
+        );
+        for (target, levels) in [
+            (PortScan, vec![&[Setup][..], &[Harvest], &[PortScan]]),
+            (
+                Geomap,
+                vec![&[Setup][..], &[Harvest], &[DeanonWindow], &[Geomap]],
+            ),
+            (Popularity, vec![&[Setup][..], &[Harvest], &[Popularity]]),
+            (Tracking, vec![&[Tracking][..]]),
+        ] {
+            assert_eq!(
+                StageId::levels(&StageId::closure(&[target])),
+                levels,
+                "{target}"
+            );
+        }
+        assert!(StageId::levels(&[]).is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! things:
 //!
 //! * [`PipelineTimings::total_wall`] — the **sum** of per-stage body
-//!   durations. The analysis wave runs stages in parallel, so this is
+//!   durations. A forked level runs stages side by side, so this is
 //!   CPU-ish busy time and can exceed real time.
 //! * [`PipelineTimings::elapsed`] — the run's true **elapsed** wall
 //!   time, measured once around the whole pipeline. This is what a
@@ -111,8 +111,8 @@ pub struct PipelineTimings {
     pub halted: Vec<StageId>,
     /// True elapsed wall time of the whole run, measured once around
     /// the pipeline. Distinct from [`PipelineTimings::total_wall`],
-    /// which sums per-stage durations and over-counts the parallel
-    /// analysis wave.
+    /// which sums per-stage durations and over-counts stages that ran
+    /// side by side.
     pub elapsed: Duration,
 }
 

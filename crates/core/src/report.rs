@@ -321,8 +321,8 @@ pub fn render_stage_timings(timings: &PipelineTimings) -> String {
     if stage_retries > 0 {
         let _ = writeln!(out, "stage retries absorbed: {stage_retries}");
     }
-    // Both wall-clock notions: the per-stage sum over-counts the
-    // parallel analysis wave; elapsed is the stopwatch number.
+    // Both wall-clock notions: the per-stage sum over-counts stages
+    // that ran side by side; elapsed is the stopwatch number.
     let _ = writeln!(
         out,
         "wall: {:.1} ms summed across stage bodies, {:.1} ms elapsed",

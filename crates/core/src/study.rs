@@ -2,7 +2,7 @@
 //! staged [`crate::pipeline`] engine.
 //!
 //! [`Study`] is the stable front door: [`Study::run`] executes the
-//! full pipeline (analysis stages in parallel) and assembles a
+//! full pipeline and assembles a
 //! [`StudyReport`]; [`Study::run_until`] and [`Study::run_stages`]
 //! execute only a dependency closure for callers that need a subset of
 //! the artifacts (the bench binaries, the figure-specific CLI
@@ -319,7 +319,8 @@ impl Study {
         &self.config
     }
 
-    /// Runs the full pipeline with the analysis stages in parallel.
+    /// Runs the full pipeline at one wave thread (see
+    /// [`ExecMode::parallel`]).
     pub fn run(&self) -> StudyReport {
         self.run_full(ExecMode::parallel(), RunOptions::default())
     }
@@ -330,9 +331,9 @@ impl Study {
         self.run_full(ExecMode::parallel(), opts)
     }
 
-    /// Runs the full pipeline under an explicit execution mode —
-    /// including the measurement-wave thread budget, e.g.
-    /// `ExecMode::parallel().with_wave_threads(8)`. Artifacts are
+    /// Runs the full pipeline under an explicit execution mode and
+    /// thread budget, e.g. `ExecMode::parallel().with_wave_threads(8)`,
+    /// which also runs independent stages side by side. Artifacts are
     /// byte-identical at every thread count.
     pub fn run_mode(&self, mode: ExecMode, opts: RunOptions) -> StudyReport {
         self.run_full(mode, opts)
@@ -350,8 +351,7 @@ impl Study {
         self.run_stages(&[stage])
     }
 
-    /// Runs the dependency closure of `targets` (analysis stages in
-    /// parallel where the plan allows).
+    /// Runs the dependency closure of `targets` at one wave thread.
     pub fn run_stages(&self, targets: &[StageId]) -> PipelineRun {
         Pipeline::new(self.config.clone()).run(targets, ExecMode::parallel())
     }

@@ -211,12 +211,14 @@ impl TrackingDetector {
             .collect();
         let days_in_window = window_days.len() as u32;
 
-        // The expensive per-day work — sorting the ring and finding the
-        // six responsible relays — is independent across days, so it is
-        // fanned out over all cores (the paper's window is ~1,000 days
-        // of ~1,800 relays each).
-        let precomputed: Vec<(usize, Vec<(usize, U160)>)> =
-            parallel_map(&window_days, |day| responsible_indices(day, target));
+        // The expensive per-day work: sorting the ring and finding the
+        // six responsible relays. Callers that want threads run several
+        // windows side by side (the pipeline's tracking stage forks its
+        // three yearly windows under the run's wave budget).
+        let precomputed: Vec<(usize, Vec<(usize, U160)>)> = window_days
+            .iter()
+            .map(|day| responsible_indices(day, target))
+            .collect();
 
         for (day, (ring_len, responsible)) in window_days.iter().zip(&precomputed) {
             // Update server tracks (sequential: fingerprint-switch
@@ -378,30 +380,6 @@ fn responsible_indices(day: &DailyConsensus, target: OnionAddress) -> (usize, Ve
         out.extend(by_dist.into_iter().take(3));
     }
     (ring.len(), out)
-}
-
-/// Order-preserving parallel map over `items`, chunked across the
-/// available cores via crossbeam's scoped threads. Falls back to a
-/// sequential map for small inputs.
-fn parallel_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if threads <= 1 || items.len() < 64 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(|_| c.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope panicked")
 }
 
 /// Longest run of day-consecutive timestamps.

@@ -9,7 +9,7 @@
 //! Levels: [`LogLevel::Off`] (silent), [`LogLevel::Progress`] (one
 //! line per stage transition), [`LogLevel::Debug`] (adds per-event
 //! detail: retries, fault summaries, trace statistics). The logger is
-//! `Copy` and carried by value into the parallel analysis wave; each
+//! `Copy` and carried by value into stages that run side by side; each
 //! line is a single `eprintln!`, which the standard library locks per
 //! call, so concurrent stages interleave only at line granularity.
 
@@ -39,8 +39,8 @@ impl LogLevel {
     }
 }
 
-/// A leveled stderr logger. Copyable; safe to pass into the parallel
-/// analysis wave.
+/// A leveled stderr logger. Copyable; safe to pass into stages that
+/// run side by side.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Logger {
     level: LogLevel,

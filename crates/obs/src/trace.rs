@@ -18,9 +18,9 @@
 //! <https://ui.perfetto.dev>. In the sim view one trace microsecond
 //! equals one simulated second, rebased so the run starts at t=0.
 //!
-//! Stages that never touch the simulator (the analysis wave) have no
+//! Stages that never touch the simulator (the analysis stages) have no
 //! sim clock of their own; the engine assigns them synthetic sim
-//! intervals — starting where the sim prefix ended, with duration
+//! intervals — starting at the sim frontier, with duration
 //! equal to the number of items processed — so the deterministic view
 //! still shows their relative workloads.
 

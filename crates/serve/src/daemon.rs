@@ -96,10 +96,11 @@ pub struct DaemonConfig {
     pub addr: String,
     /// The study every query runs against (seed, scale, faults).
     pub study: StudyConfig,
-    /// Worker budget for each query's in-stage measurement and
-    /// mutate waves. Queries run their analysis stages one at a time
-    /// (`ExecMode::sequential()`), so this is not an analysis-stage
-    /// fan-out.
+    /// Worker budget for each query's in-stage measurement waves
+    /// (scan days, traffic ticks, crawl phases, tracking windows).
+    /// Queries run `ExecMode::sequential()`, one stage at a time, so
+    /// this never runs stages side by side; consensus rounds run
+    /// inline at any value.
     pub wave_threads: usize,
     /// Queries allowed to run concurrently before shedding `BUSY`.
     pub max_inflight: usize,
@@ -1096,8 +1097,8 @@ fn reply_run(
 
 /// Assembles the wall-clock span tree for one completed query. Stage
 /// spans are laid out cumulatively inside the `run` span in execution
-/// order — an approximation when the analysis wave overlaps stages,
-/// exact under sequential execution.
+/// order — an approximation when a forked level overlaps stages,
+/// exact under sequential execution (the daemon's mode).
 #[allow(clippy::too_many_arguments)]
 fn flight_record(
     id: u64,

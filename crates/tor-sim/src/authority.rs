@@ -100,25 +100,11 @@ impl Authority {
     /// the `max_per_ip` highest-bandwidth relays are listed. Everything
     /// else about a relay (uptime, earned flags) is retained for future
     /// rounds because it is derived from the relay's own state.
-    pub fn vote(&self, relays: &[Relay], now: SimTime) -> Consensus {
-        self.vote_pooled(relays, now, &wave::WavePool::new(1)).0
-    }
-
-    /// [`Authority::vote`] with entry construction sharded over `pool`.
     ///
     /// Grouping is a single global sort by `(ip, bandwidth desc,
     /// fingerprint)` — no hash map anywhere, so the vote is structurally
     /// deterministic before `Consensus::new` even sorts by fingerprint.
-    /// Shard boundaries come from [`wave::keyed_ranges`] snapped to IP
-    /// changes, so a whole IP group always lands in one shard and the
-    /// two-per-IP head selection stays shard-local; the concatenated
-    /// entry list is byte-identical at any thread count.
-    pub fn vote_pooled(
-        &self,
-        relays: &[Relay],
-        now: SimTime,
-        pool: &wave::WavePool,
-    ) -> (Consensus, wave::WaveStats) {
+    pub fn vote(&self, relays: &[Relay], now: SimTime) -> Consensus {
         let mut eligible: Vec<&Relay> =
             relays.iter().filter(|r| r.running && r.reachable).collect();
 
@@ -131,36 +117,29 @@ impl Authority {
                 .then_with(|| a.fingerprint().cmp(&b.fingerprint()))
         });
 
-        let ranges = wave::keyed_ranges(eligible.len(), pool.threads(), |i| {
-            i == 0 || eligible[i].ip != eligible[i - 1].ip
-        });
-        let (parts, stats) = pool.map_slices(&eligible, &ranges, |_, part| {
-            let mut entries = Vec::with_capacity(part.len().min(2 * self.policy.max_per_ip.max(1)));
-            let mut taken = 0usize;
-            for (off, relay) in part.iter().enumerate() {
-                if off > 0 && relay.ip == part[off - 1].ip {
-                    taken += 1;
-                } else {
-                    taken = 0;
-                }
-                if taken >= self.policy.max_per_ip {
-                    continue;
-                }
-                entries.push(ConsensusEntry {
-                    relay: relay.id,
-                    fingerprint: relay.fingerprint(),
-                    nickname: relay.nickname.clone(),
-                    ip: relay.ip,
-                    or_port: relay.or_port,
-                    bandwidth: relay.bandwidth,
-                    flags: self.earned_flags(relay, now, guard_bw_threshold),
-                });
+        let mut entries = Vec::with_capacity(eligible.len());
+        let mut taken = 0usize;
+        for (i, relay) in eligible.iter().enumerate() {
+            if i > 0 && relay.ip == eligible[i - 1].ip {
+                taken += 1;
+            } else {
+                taken = 0;
             }
-            entries
-        });
-        let entries: Vec<ConsensusEntry> = parts.into_iter().flatten().collect();
+            if taken >= self.policy.max_per_ip {
+                continue;
+            }
+            entries.push(ConsensusEntry {
+                relay: relay.id,
+                fingerprint: relay.fingerprint(),
+                nickname: relay.nickname.clone(),
+                ip: relay.ip,
+                or_port: relay.or_port,
+                bandwidth: relay.bandwidth,
+                flags: self.earned_flags(relay, now, guard_bw_threshold),
+            });
+        }
 
-        (Consensus::new(now, entries), stats)
+        Consensus::new(now, entries)
     }
 }
 
@@ -301,48 +280,5 @@ mod tests {
         let fps_a: Vec<_> = a.entries().iter().map(|e| e.fingerprint).collect();
         let fps_b: Vec<_> = b.entries().iter().map(|e| e.fingerprint).collect();
         assert_eq!(fps_a, fps_b);
-    }
-
-    #[test]
-    fn pooled_vote_is_structurally_identical_at_any_thread_count() {
-        // The sharded vote must reproduce the sequential reference
-        // entry for entry — same order, flags, bandwidths — at every
-        // worker budget, including a population with heavy IP sharing
-        // (exercises the per-IP shard-boundary and max-per-ip paths).
-        let auth = Authority::new();
-        let t0 = SimTime::from_ymd(2013, 1, 1);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut relays: Vec<Relay> = (0..60)
-            .map(|i| {
-                let ip = Ipv4::new(10, 0, (i % 13) as u8, 1);
-                mk_relay(i, ip, 100 + 37 * (i as u64 % 9), t0, &mut rng)
-            })
-            .collect();
-        // A few unreachable/stopped relays so eligibility filtering
-        // interacts with the shard boundaries too.
-        relays[5].reachable = false;
-        relays[23].stop();
-        let now = t0 + 30 * HOUR;
-        let reference = auth.vote(&relays, now);
-        for threads in [1, 2, 3, 8] {
-            let pool = wave::WavePool::new(threads);
-            let (pooled, stats) = auth.vote_pooled(&relays, now, &pool);
-            assert_eq!(stats.threads, threads);
-            assert_eq!(pooled.len(), reference.len(), "{threads} threads");
-            for (p, r) in pooled.entries().iter().zip(reference.entries()) {
-                assert_eq!(p.fingerprint, r.fingerprint, "{threads} threads");
-                assert_eq!(p.relay, r.relay, "{threads} threads");
-                assert_eq!(p.flags, r.flags, "{threads} threads");
-                assert_eq!(p.bandwidth, r.bandwidth, "{threads} threads");
-            }
-        }
-        // And repeated pooled votes agree with each other byte for
-        // byte (the grouping is a sorted scan, not a hash map — no
-        // iteration-order dependence to regress).
-        let again = auth.vote_pooled(&relays, now, &wave::WavePool::new(4)).0;
-        assert_eq!(
-            format!("{:?}", again.entries()),
-            format!("{:?}", reference.entries())
-        );
     }
 }

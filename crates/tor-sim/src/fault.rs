@@ -249,19 +249,6 @@ pub(crate) fn onion_key(onion: OnionAddress) -> u64 {
     u64::from_be_bytes(k)
 }
 
-/// One relay's churn decision for a round, produced read-only by the
-/// fault wave and applied in relay index order.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct RoundDecision {
-    /// Drop the relay's restart schedule (restart due, or operator
-    /// already restarted it out-of-band).
-    clear_schedule: bool,
-    /// Restart the relay and restore its pre-crash reachability.
-    restart: bool,
-    /// Crash the relay and schedule its restart.
-    crash: bool,
-}
-
 /// Live fault-injection state carried by a `Network`. Cloning a
 /// network clones this verbatim, so branched timelines replay their
 /// faults independently and deterministically.
@@ -306,34 +293,30 @@ impl FaultState {
     /// One consensus round of relay-level faults: restart relays whose
     /// downtime elapsed, roll fresh crashes, reset the per-round load
     /// counters. Idempotent within a round (revotes re-roll the same
-    /// hashes against already-stopped relays).
-    ///
-    /// The churn rolls are pure hashes of `(seed, relay index, time)`,
-    /// so they run as a read-only per-relay wave on `pool`; effects are
-    /// applied afterwards in relay index order, which is exactly the
-    /// order the old sequential loop used.
-    pub(crate) fn on_round(
-        &mut self,
-        relays: &mut [Relay],
-        now: SimTime,
-        pool: &wave::WavePool,
-    ) -> wave::WaveStats {
+    /// hashes against already-stopped relays). The churn rolls are pure
+    /// hashes of `(seed, relay index, time)`, applied in relay index
+    /// order.
+    pub(crate) fn on_round(&mut self, relays: &mut [Relay], now: SimTime) {
         self.ensure_len(relays.len());
-        let state = &*self;
-        let (decisions, stats) =
-            pool.map(&*relays, |idx, relay| state.round_decision(idx, relay, now));
-        for (idx, d) in decisions.iter().enumerate() {
-            let relay = &mut relays[idx];
-            if d.restart {
-                let was_reachable = self.crashed_until[idx].map_or(relay.reachable, |(_, r)| r);
-                relay.start(now);
-                relay.reachable = was_reachable;
-                self.counters.relay_restarts += 1;
+        for (idx, relay) in relays.iter_mut().enumerate() {
+            if let Some((due, was_reachable)) = self.crashed_until[idx] {
+                if relay.running {
+                    // The operator restarted it out-of-band (e.g. the
+                    // harvest fleet re-registering a crashed instance);
+                    // the scheduled restart is moot.
+                    self.crashed_until[idx] = None;
+                } else if now >= due {
+                    relay.start(now);
+                    relay.reachable = was_reachable;
+                    self.counters.relay_restarts += 1;
+                    self.crashed_until[idx] = None;
+                }
             }
-            if d.clear_schedule {
-                self.crashed_until[idx] = None;
-            }
-            if d.crash {
+            if relay.running
+                && self.crashed_until[idx].is_none()
+                && roll(self.plan.seed, KIND_CRASH, idx as u64, now.unix())
+                    < self.plan.relay_crash_rate
+            {
                 let was_reachable = relay.reachable;
                 relay.stop();
                 self.crashed_until[idx] = Some((
@@ -345,41 +328,6 @@ impl FaultState {
         }
         for load in &mut self.load {
             *load = 0;
-        }
-        stats
-    }
-
-    /// One relay's churn decision for this round, computed without
-    /// mutating anything. The sequential loop's read-after-write
-    /// dependencies (a restart makes the relay crash-eligible again in
-    /// the same round) are simulated on local state, so applying the
-    /// decisions in index order reproduces the old behaviour exactly.
-    fn round_decision(&self, idx: usize, relay: &Relay, now: SimTime) -> RoundDecision {
-        let schedule = self.crashed_until.get(idx).copied().flatten();
-        let mut running = relay.running;
-        let mut clear_schedule = false;
-        let mut restart = false;
-        if let Some((due, _)) = schedule {
-            if running {
-                // The operator restarted it out-of-band (e.g. the
-                // harvest fleet re-registering a crashed instance);
-                // the scheduled restart is moot.
-                clear_schedule = true;
-            } else if now >= due {
-                restart = true;
-                clear_schedule = true;
-                running = true;
-            }
-        }
-        let still_down = schedule.is_some() && !clear_schedule;
-        let crash = running
-            && !still_down
-            && roll(self.plan.seed, KIND_CRASH, idx as u64, now.unix())
-                < self.plan.relay_crash_rate;
-        RoundDecision {
-            clear_schedule,
-            restart,
-            crash,
         }
     }
 
@@ -434,9 +382,9 @@ impl FaultState {
 
     /// Whether a descriptor upload to one HSDir fails. Keyed on
     /// `(relay, descriptor, time)` — not the query serial — because
-    /// publish order must not influence the decision: the publish wave
-    /// rolls this per upload on worker threads and only merges the
-    /// *count* of drops back, in canonical `ServiceId` order.
+    /// publish order must not influence the decision: each publish unit
+    /// rolls this per upload and only merges the *count* of drops back,
+    /// in canonical `ServiceId` order.
     pub(crate) fn publish_drop_roll(
         &self,
         relay: RelayId,

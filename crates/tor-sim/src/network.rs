@@ -273,13 +273,7 @@ pub struct Network {
     /// Optional per-round trace recorder (disabled by default; purely
     /// observational, never consulted by simulation logic).
     round_trace: Option<RoundRecorder>,
-    /// Worker threads for the mutate-phase waves inside [`Network::step`]
-    /// (1 = inline). Any value produces byte-identical artifacts.
-    mutate_threads: usize,
-    /// Wave statistics from the mutate phases, drained by
-    /// [`Network::take_mutate_wave_stats`]. Observational only.
-    mutate_waves: Vec<wave::WaveStats>,
-    /// Per-relay publish-wave batches, reused round to round so the
+    /// Per-relay publish batches, reused round to round so the
     /// publish path stays allocation-free at steady state.
     publish_batches: Vec<Vec<StoredDescriptor>>,
     rng: StdRng,
@@ -436,52 +430,29 @@ impl Network {
         self.step();
     }
 
-    /// Sets the mutate-phase worker-thread count (1 = inline). Purely a
-    /// performance knob: every artifact is byte-identical at any value.
-    pub fn set_mutate_threads(&mut self, threads: usize) {
-        self.mutate_threads = threads.max(1);
-    }
-
-    /// Drains the accumulated mutate-wave statistics (one entry per
-    /// sharded phase per consensus round). Observational only.
-    pub fn take_mutate_wave_stats(&mut self) -> Vec<wave::WaveStats> {
-        std::mem::take(&mut self.mutate_waves)
-    }
-
-    /// One consensus round: churn/fault rolls, the authority vote,
-    /// descriptor publication and store maintenance — each phase a
-    /// deterministic partition-by-`RelayId`/`ServiceId` wave whose
-    /// shard results merge in canonical input order, so the round is
-    /// byte-identical at any [`Network::set_mutate_threads`] value.
+    /// One consensus round, inline on the caller's thread: churn and
+    /// fault rolls, the authority vote, descriptor publication and
+    /// store maintenance. Rounds are too short to repay a thread fork
+    /// (DESIGN.md, "Consensus rounds run inline").
     fn step(&mut self) {
-        let pool = wave::WavePool::new(self.mutate_threads);
         self.svc.flush();
         if !self.faults.is_inert() {
             // Relay-level faults apply before the vote so the consensus
             // reflects this round's crashes and restarts.
-            let stats = self.faults.on_round(&mut self.relays, self.time, &pool);
-            self.mutate_waves.push(stats);
+            self.faults.on_round(&mut self.relays, self.time);
         }
-        let (consensus, vote_stats) = self.authority.vote_pooled(&self.relays, self.time, &pool);
-        self.consensus = consensus;
-        self.mutate_waves.push(vote_stats);
-        let publish_stats = self.publish_descriptors(&pool);
-        self.mutate_waves.push(publish_stats);
+        self.consensus = self.authority.vote(&self.relays, self.time);
+        self.publish_descriptors();
         // Store maintenance runs after the publish merge: expiry only
         // drops >24 h-old descriptors (never this round's uploads) and
-        // publication never reads stores, so the order swap versus the
-        // old sequential expire-then-publish is observationally
-        // identical while letting each store apply its batch locally.
-        let batches = std::mem::take(&mut self.publish_batches);
-        let time = self.time;
-        let (_, store_stats) = pool.map_mut(&mut self.stores, |i, store| {
-            store.expire(time);
-            if let Some(batch) = batches.get(i) {
+        // publication never reads stores, so each store can expire and
+        // apply its batch in one pass.
+        for (i, store) in self.stores.iter_mut().enumerate() {
+            store.expire(self.time);
+            if let Some(batch) = self.publish_batches.get(i) {
                 store.apply_batch(batch);
             }
-        });
-        self.publish_batches = batches;
-        self.mutate_waves.push(store_stats);
+        }
         self.refresh_signature_index();
         self.record_round();
     }
@@ -508,16 +479,16 @@ impl Network {
     /// currently responsible HSDirs, and records slot-hour coverage (at
     /// most once per hour) for logging relays.
     ///
-    /// Runs as a wave: each online service is one read-only work unit
-    /// (descriptor IDs, responsible slots, drop rolls — all pure hashes,
-    /// no RNG), and the resulting [`PublishEffect`]s merge sequentially
-    /// in canonical `ServiceId` order into the cache, the hot counters
-    /// and the per-relay upload batches that the store wave then applies.
+    /// Each online service is one read-only work unit (descriptor IDs,
+    /// responsible slots, drop rolls — all pure hashes, no RNG), and
+    /// the resulting [`PublishEffect`]s merge in canonical `ServiceId`
+    /// order into the cache, the hot counters and the per-relay upload
+    /// batches that store maintenance then applies.
     ///
     /// Descriptor IDs come from the per-period cache: only services
     /// whose staggered 24 h period rolled over since the previous round
     /// pay for fresh SHA-1 work.
-    fn publish_descriptors(&mut self, pool: &wave::WavePool) -> wave::WaveStats {
+    fn publish_descriptors(&mut self) {
         let time = self.time;
         let hour = self.time.hours();
         let record_coverage = self.coverage_recorded_hour != Some(hour);
@@ -525,22 +496,21 @@ impl Network {
         let cache_enabled = self.desc_cache_enabled;
         let online: Vec<ServiceId> = self.svc.online_ids().collect();
 
-        let (effects, stats) = {
-            let (svc, consensus) = (&self.svc, &self.consensus);
-            let (relays, faults) = (&self.relays, &self.faults);
-            pool.map(&online, |_, &sid| {
+        let effects: Vec<PublishEffect> = online
+            .iter()
+            .map(|&sid| {
                 publish_unit(
-                    svc,
-                    consensus,
-                    relays,
-                    faults,
+                    &self.svc,
+                    &self.consensus,
+                    &self.relays,
+                    &self.faults,
                     faults_active,
                     cache_enabled,
                     sid,
                     time,
                 )
             })
-        };
+            .collect();
 
         let Network {
             svc,
@@ -579,7 +549,6 @@ impl Network {
         if record_coverage {
             self.coverage_recorded_hour = Some(hour);
         }
-        stats
     }
 
     /// Re-indexes armed signature targets whose descriptor IDs rotated
@@ -1260,9 +1229,9 @@ struct PublishEffect {
     n_uploads: u8,
 }
 
-/// The publish-wave work unit for one online service: pure hash work
+/// The publish work unit for one online service: pure hash work
 /// (descriptor IDs, ring responsibility, keyed drop rolls — no RNG, no
-/// shared mutation), so units can run on any thread in any order.
+/// shared mutation).
 #[allow(clippy::too_many_arguments)]
 fn publish_unit(
     svc: &ServiceTable,
@@ -1483,8 +1452,6 @@ impl NetworkBuilder {
             desc_cache_enabled: true,
             faults: FaultState::new(self.faults),
             round_trace: None,
-            mutate_threads: 1,
-            mutate_waves: Vec::new(),
             publish_batches: Vec::new(),
             rng: StdRng::seed_from_u64(self.seed ^ 0x00c1_1e77_5eed),
         }

@@ -360,76 +360,6 @@ proptest! {
         }
     }
 
-    /// The mutate-phase worker budget is invisible to simulation
-    /// state: a network advanced at 1 mutate thread and one advanced
-    /// at k threads agree on every observable — consensus, descriptor
-    /// stores, slot-hours, hot-path and fault counters — fault-free
-    /// and under protocol faults alike.
-    #[test]
-    fn mutate_thread_count_never_changes_state(
-        threads in 2usize..9,
-        hours in 1u64..14,
-        seed in any::<u64>(),
-        adversarial in any::<bool>(),
-    ) {
-        use crate::fault::FaultPlan;
-        use crate::network::NetworkBuilder;
-        use onion_crypto::OnionAddress;
-
-        let plan = if adversarial {
-            FaultPlan::adversarial(seed)
-        } else {
-            FaultPlan::none()
-        };
-        let build = || {
-            NetworkBuilder::new()
-                .relays(40)
-                .seed(seed)
-                .start(SimTime::from_ymd(2013, 2, 1))
-                .faults(plan.clone())
-                .build()
-        };
-        let mut reference = build();
-        let mut sharded = build();
-        sharded.set_mutate_threads(threads);
-        for i in 0..16u8 {
-            let onion = OnionAddress::from_pubkey(&[i, 0xab]);
-            reference.register_service(onion, i % 3 != 0);
-            sharded.register_service(onion, i % 3 != 0);
-        }
-        reference.advance_hours(hours);
-        sharded.advance_hours(hours);
-
-        prop_assert_eq!(
-            format!("{:?}", reference.consensus().entries()),
-            format!("{:?}", sharded.consensus().entries())
-        );
-        prop_assert_eq!(reference.slot_hours_sorted(), sharded.slot_hours_sorted());
-        prop_assert_eq!(
-            format!("{:?}", reference.hot_counters()),
-            format!("{:?}", sharded.hot_counters())
-        );
-        prop_assert_eq!(
-            format!("{:?}", reference.fault_counters()),
-            format!("{:?}", sharded.fault_counters())
-        );
-        for r in 0..40 {
-            let relay = RelayId(r);
-            let a: Vec<_> = reference.store(relay).iter().copied().collect();
-            let b: Vec<_> = sharded.store(relay).iter().copied().collect();
-            prop_assert_eq!(a.len(), b.len(), "store {} length", r);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.descriptor_id, y.descriptor_id);
-                prop_assert_eq!(x.onion, y.onion);
-                prop_assert_eq!(x.published, y.published);
-            }
-        }
-        // The sharded run actually used the requested budget.
-        let stats = sharded.take_mutate_wave_stats();
-        prop_assert!(!stats.is_empty());
-        prop_assert!(stats.iter().all(|w| w.threads == threads));
-    }
-
     /// SHA-1-derived ring positions are uniform enough that the
     /// average-gap estimate is within an order of magnitude of every
     /// observed gap for moderate rings — sanity for the ratio statistic.

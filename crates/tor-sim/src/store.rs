@@ -30,7 +30,7 @@ pub struct StoredDescriptor {
 ///
 /// Stored as a single `Vec` sorted by descriptor ID (unique keys, the
 /// latest publication wins), so lookup is a binary search, expiry is a
-/// linear retain, and the publish wave lands one canonical
+/// linear retain, and each publish round lands one canonical
 /// [`apply_batch`](Self::apply_batch) merge per store per round —
 /// no hashing anywhere on the consensus/publish/fetch paths.
 #[derive(Clone, Debug, Default)]

@@ -7,14 +7,20 @@
 //! are rendered through [`sorted_map`] first, because identical maps
 //! print in different iteration orders.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Debug;
+use std::sync::Arc;
 
 use hs_landscape::hs_harvest::HarvestOutcome;
 use hs_landscape::hs_popularity::ResolutionReport;
 use hs_landscape::obs::{self, TraceClock};
-use hs_landscape::pipeline::{ExecMode, Pipeline, RunOptions, StageId};
-use hs_landscape::{Study, StudyConfig, StudyReport};
+use hs_landscape::pipeline::{
+    ArtifactStore, ExecMode, Pipeline, RunOptions, StageId, StageKind, TrackingReport,
+};
+use hs_landscape::tor_sim::clock::HOUR;
+use hs_landscape::{
+    MemoryCache, PipelineRun, RunControl, StageCache, Study, StudyConfig, StudyReport,
+};
 
 fn config() -> StudyConfig {
     StudyConfig::test_scale()
@@ -299,4 +305,228 @@ fn deanon_target_is_looked_up_from_world() {
         "target {target} is not a Goldnet front end: {:?}",
         service.role
     );
+}
+
+// Forked levels. `Study::run()` and most tests above run at one wave
+// thread, which forks nothing; these run levels side by side (two or
+// more threads) against the sequential order.
+
+/// The analysis targets of a full study (tracking is off at test
+/// scale): its plan has all four sim stages and four analyses.
+const STUDY_TARGETS: [StageId; 4] = [
+    StageId::Geomap,
+    StageId::Certs,
+    StageId::Crawl,
+    StageId::Popularity,
+];
+
+/// Every artifact slot of a run, through renderings that are equal
+/// exactly when the artifacts are (network snapshots by state hash).
+fn store_fingerprint(a: &ArtifactStore) -> String {
+    format!(
+        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        a.try_net_setup().map(|n| n.state_hash()).ok(),
+        a.try_harvest().ok().map(harvest_fingerprint),
+        a.try_net_harvest().map(|n| n.state_hash()).ok(),
+        a.try_deanon_window().ok(),
+        a.try_scan().ok(),
+        a.try_deanon().ok(),
+        a.try_certs().ok(),
+        a.try_crawl().ok(),
+        a.try_popularity().ok().map(|p| format!(
+            "{}|{:?}|{}|{}",
+            resolution_fingerprint(&p.resolution),
+            p.ranking,
+            sorted_map(&p.forensics.groups),
+            p.requested_published_share
+        )),
+        a.try_tracking().ok(),
+    )
+}
+
+/// Asserts that `got` returned everything `expected` did, except
+/// wall time: executed stages in order with their counters, the
+/// degraded and halted lists, the halt reason, the artifacts, and the
+/// sim-clock trace export when traced. The outcome summary is compared
+/// first, so a failure prints it rather than megabytes of artifacts.
+fn assert_same_run(expected: &PipelineRun, got: &PipelineRun, case: &str) {
+    let summary = |run: &PipelineRun| {
+        let executed: Vec<String> = run
+            .timings
+            .executed
+            .iter()
+            .map(|t| format!("{}:{:?}", t.stage, t.counters))
+            .collect();
+        let degraded: Vec<String> = run
+            .timings
+            .degraded
+            .iter()
+            .map(|d| format!("{}:{}:{}", d.stage, d.attempts, d.error))
+            .collect();
+        format!(
+            "executed {executed:?}\ndegraded {degraded:?}\nhalted {:?}\nhalt {:?}",
+            run.timings.halted, run.halt
+        )
+    };
+    assert_eq!(summary(expected), summary(got), "{case}");
+    assert!(
+        store_fingerprint(&expected.artifacts) == store_fingerprint(&got.artifacts),
+        "{case}: artifacts diverged"
+    );
+    let trace = |run: &PipelineRun| {
+        run.trace
+            .as_ref()
+            .map(|t| t.to_chrome_json(TraceClock::Sim))
+    };
+    assert!(
+        trace(expected) == trace(got),
+        "{case}: sim-clock trace diverged"
+    );
+}
+
+fn run_study(cfg: &StudyConfig, mode: ExecMode, trace: bool, ctl: &RunControl) -> PipelineRun {
+    let opts = RunOptions {
+        trace,
+        log: obs::Logger::off(),
+    };
+    Pipeline::new(cfg.clone()).run_controlled(&STUDY_TARGETS, mode, opts, ctl)
+}
+
+fn executed(run: &PipelineRun) -> Vec<StageId> {
+    run.timings.executed.iter().map(|t| t.stage).collect()
+}
+
+/// Sequential, then forked at 2 and 8 threads, each traced under its
+/// own control from `ctl`; every forked run must equal the sequential
+/// one. Returns the sequential run.
+fn assert_forked_equals_sequential(
+    cfg: &StudyConfig,
+    ctl: impl Fn() -> RunControl,
+    case: &str,
+) -> PipelineRun {
+    let reference = run_study(cfg, ExecMode::sequential(), true, &ctl());
+    for threads in [2, 8] {
+        let mode = ExecMode::parallel().with_wave_threads(threads);
+        let forked = run_study(cfg, mode, true, &ctl());
+        assert_same_run(&reference, &forked, &format!("{case}, {threads} threads"));
+    }
+    reference
+}
+
+#[test]
+fn forked_levels_halt_where_the_sequential_order_halts() {
+    let cfg = config();
+    // Sim-hour stage boundaries, from the stage spans of an unbounded
+    // traced run: 0, then the running total after each sim stage.
+    let full = run_study(&cfg, ExecMode::sequential(), true, &RunControl::default());
+    let trace = full.trace.as_ref().expect("traced run returns a trace");
+    let mut boundaries = vec![0u64];
+    for stage in StageId::closure(&STUDY_TARGETS) {
+        if stage.kind() == StageKind::Sim {
+            let lane = trace
+                .lanes
+                .iter()
+                .find(|l| l.name == format!("stage {stage}"))
+                .expect("every sim stage has a lane");
+            let hours = (lane.spans[0].sim_end - lane.spans[0].sim_start) / HOUR;
+            boundaries.push(boundaries[boundaries.len() - 1] + hours);
+        }
+    }
+    let budgets: BTreeSet<u64> = boundaries
+        .iter()
+        .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+        .collect();
+    let mut sibling_refused = false;
+    for budget in budgets {
+        let ctl = RunControl {
+            sim_budget_hours: Some(budget),
+            ..RunControl::default()
+        };
+        let seq = run_study(&cfg, ExecMode::sequential(), false, &ctl);
+        let forked = run_study(&cfg, ExecMode::parallel().with_wave_threads(2), false, &ctl);
+        let case = format!("sim budget {budget} h, stage boundaries {boundaries:?}");
+        assert_same_run(&seq, &forked, &case);
+        sibling_refused |= executed(&seq).contains(&StageId::DeanonWindow)
+            && seq.timings.halted.contains(&StageId::PortScan);
+    }
+    // The budget at the end of the deanonymisation window admits it
+    // and refuses its sibling, the case a forked level must undo.
+    assert!(
+        sibling_refused,
+        "no budget split the [deanon_window, port_scan] level"
+    );
+}
+
+#[test]
+fn forked_level_equals_sequential_when_port_scan_fails() {
+    let mut cfg = config();
+    cfg.fail_stages = vec![StageId::PortScan];
+    let run = assert_forked_equals_sequential(&cfg, RunControl::default, "port_scan fails");
+    assert!(run.timings.degraded(StageId::PortScan).is_some());
+    assert!(executed(&run).contains(&StageId::DeanonWindow));
+}
+
+#[test]
+fn forked_level_equals_sequential_when_deanon_window_fails() {
+    let mut cfg = config();
+    cfg.fail_stages = vec![StageId::DeanonWindow];
+    let run = assert_forked_equals_sequential(&cfg, RunControl::default, "deanon_window fails");
+    assert!(run.timings.degraded(StageId::DeanonWindow).is_some());
+    assert!(executed(&run).contains(&StageId::PortScan));
+}
+
+#[test]
+fn forked_level_equals_sequential_with_port_scan_cached() {
+    let cfg = config();
+    // A fresh cache per run, warmed by a port-scan query: it holds
+    // setup, harvest and port_scan, but not deanon_window.
+    let warm = || {
+        let ctl = RunControl {
+            cache: Some(Arc::new(MemoryCache::new(32)) as Arc<dyn StageCache>),
+            ..RunControl::default()
+        };
+        Pipeline::new(cfg.clone()).run_controlled(
+            &[StageId::PortScan],
+            ExecMode::sequential(),
+            RunOptions::default(),
+            &ctl,
+        );
+        ctl
+    };
+    let run = assert_forked_equals_sequential(&cfg, warm, "port_scan cached");
+    let hit = |stage: StageId| {
+        run.timings
+            .stage(stage)
+            .and_then(|t| t.counter("stage_cache_hit"))
+    };
+    assert_eq!(hit(StageId::PortScan), Some(1));
+    assert_eq!(hit(StageId::DeanonWindow), None);
+}
+
+#[test]
+fn tracking_report_is_identical_at_1_and_4_threads() {
+    // Servers render in a canonical order: the detector ranks them by
+    // ratio only, so exact ties keep hash-map order.
+    let render = |report: &TrackingReport| -> Vec<String> {
+        report
+            .years
+            .iter()
+            .map(|(label, a)| {
+                let mut servers: Vec<String> = a.servers.iter().map(|s| format!("{s:?}")).collect();
+                servers.sort();
+                format!(
+                    "{label}|{:?}|{:?}|{}|{servers:?}",
+                    a.start, a.end, a.mean_hsdirs
+                )
+            })
+            .collect()
+    };
+    let at = |threads: usize| {
+        let mode = ExecMode::parallel().with_wave_threads(threads);
+        let run = Pipeline::new(config()).run(&[StageId::Tracking], mode);
+        render(run.artifacts.tracking())
+    };
+    let one = at(1);
+    assert_eq!(one.len(), 3);
+    assert_eq!(one, at(4));
 }
