@@ -32,7 +32,7 @@ impl SimTime {
     pub const EPOCH: SimTime = SimTime(0);
 
     /// Wraps a Unix timestamp.
-    pub fn from_unix(secs: u64) -> Self {
+    pub const fn from_unix(secs: u64) -> Self {
         SimTime(secs)
     }
 

@@ -1,6 +1,7 @@
 //! The network consensus: the hourly directory document listing usable
 //! relays, and the responsible-HSDir ring lookup performed against it.
 
+use core::cmp::Ordering;
 use core::fmt;
 
 use onion_crypto::descriptor::{DescriptorId, HSDIRS_PER_REPLICA};
@@ -29,6 +30,47 @@ pub struct ConsensusEntry {
     pub bandwidth: u64,
     /// Assigned flags.
     pub flags: RelayFlags,
+}
+
+/// How the HSDir ring moved between two consensuses (see
+/// [`Consensus::hsdir_ring_change`]).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct RingChange {
+    /// Relays whose ring position is gone: they left the ring or took a
+    /// new identity. Sorted.
+    departed: Vec<RelayId>,
+    /// Fingerprints of the positions that are new. Sorted.
+    joined: Vec<Fingerprint>,
+}
+
+impl RingChange {
+    /// Whether the HSDirs that were responsible for `desc_id` before the
+    /// change — `responsible`, in ring order, the last at fingerprint
+    /// `last` — still are: none of them departed, and no position
+    /// joined between `desc_id` and `last`. Then the new ring holds
+    /// exactly these HSDirs there, so they are still the first
+    /// [`HSDIRS_PER_REPLICA`] after `desc_id`.
+    pub(crate) fn keeps(
+        &self,
+        desc_id: DescriptorId,
+        responsible: [RelayId; HSDIRS_PER_REPLICA],
+        last: Fingerprint,
+    ) -> bool {
+        if responsible
+            .iter()
+            .any(|r| self.departed.binary_search(r).is_ok())
+        {
+            return false;
+        }
+        let pos = desc_id.to_u160();
+        let after = self.joined.partition_point(|j| j.to_u160() <= pos);
+        // The first joined position after `desc_id` on the ring; every
+        // other one lies further on.
+        match self.joined.get(after).or(self.joined.first()) {
+            Some(joined) => pos.distance_to(joined.to_u160()) > pos.distance_to(last.to_u160()),
+            None => true,
+        }
+    }
 }
 
 /// A consensus document: all usable relays at one `valid_after` time,
@@ -100,6 +142,39 @@ impl Consensus {
     /// Iterates over the HSDir ring in fingerprint order.
     pub fn hsdirs(&self) -> impl Iterator<Item = &ConsensusEntry> + '_ {
         self.hsdir_ring.iter().map(move |&i| &self.entries[i])
+    }
+
+    /// How the HSDir ring changed since `prev`, as the `(relay,
+    /// fingerprint)` positions that went and came; `None` if the ring
+    /// is the same. Responsible-HSDir lookups depend on nothing else,
+    /// so an unchanged ring places every descriptor ID where `prev`
+    /// did. One merge walk over both rings.
+    pub(crate) fn hsdir_ring_change(&self, prev: &Consensus) -> Option<RingChange> {
+        let position = |e: &ConsensusEntry| (e.fingerprint, e.relay);
+        let mut old = prev.hsdirs().map(position).peekable();
+        let mut new = self.hsdirs().map(position).peekable();
+        let mut change = RingChange::default();
+        loop {
+            let order = match (old.peek(), new.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(a), Some(b)) => a.cmp(b),
+            };
+            match order {
+                Ordering::Equal => {
+                    old.next();
+                    new.next();
+                }
+                Ordering::Less => change.departed.extend(old.next().map(|(_, relay)| relay)),
+                Ordering::Greater => change.joined.extend(new.next().map(|(fp, _)| fp)),
+            }
+        }
+        if change.departed.is_empty() && change.joined.is_empty() {
+            return None;
+        }
+        change.departed.sort_unstable();
+        Some(change)
     }
 
     /// Looks up an entry by fingerprint.
@@ -289,6 +364,58 @@ mod tests {
             .unwrap_or_else(|_| OnionAddress::from_pubkey(b"ddg"));
         let resp = c.responsible_for_service(onion, c.valid_after().unix());
         assert_eq!(resp.len(), 6);
+    }
+
+    #[test]
+    fn ring_change_ignores_everything_but_the_ring() {
+        let a = tiny_consensus(10);
+        let mut entries = a.entries().to_vec();
+        entries[0].bandwidth += 1;
+        entries[0].nickname.push('x');
+        assert_eq!(
+            Consensus::new(a.valid_after(), entries.clone()).hsdir_ring_change(&a),
+            None
+        );
+        let left = entries[3].relay;
+        entries[3].flags = RelayFlags::RUNNING | RelayFlags::VALID;
+        let moved = entries[5].relay;
+        entries[5].fingerprint = Fingerprint::from_digest(Sha1::digest(b"new key"));
+        let joined = entries[5].fingerprint;
+        let change = Consensus::new(a.valid_after(), entries)
+            .hsdir_ring_change(&a)
+            .unwrap();
+        let mut departed = vec![left, moved];
+        departed.sort();
+        assert_eq!(change.departed, departed);
+        assert_eq!(change.joined, vec![joined]);
+    }
+
+    #[test]
+    fn ring_change_keeps_exactly_the_unmoved_responsible_sets() {
+        let before = tiny_consensus(30);
+        let mut entries = before.entries().to_vec();
+        entries[7].flags = RelayFlags::RUNNING | RelayFlags::VALID;
+        entries[19].fingerprint = Fingerprint::from_digest(Sha1::digest(b"re-keyed"));
+        let after = Consensus::new(before.valid_after(), entries);
+        let change = after.hsdir_ring_change(&before).unwrap();
+        let mut kept = 0;
+        for seed in 0..200u32 {
+            let desc = DescriptorId::from_digest(Sha1::digest(seed.to_be_bytes()));
+            let old: Vec<&ConsensusEntry> = before.responsible_hsdirs(desc);
+            let new: Vec<RelayId> = after
+                .responsible_hsdirs(desc)
+                .iter()
+                .map(|e| e.relay)
+                .collect();
+            let responsible = [old[0].relay, old[1].relay, old[2].relay];
+            let keeps = change.keeps(desc, responsible, old[2].fingerprint);
+            assert_eq!(keeps, new == responsible, "seed {seed}");
+            kept += usize::from(keeps);
+        }
+        assert!(
+            kept > 100,
+            "most responsible sets survive two moves: {kept}"
+        );
     }
 
     #[test]

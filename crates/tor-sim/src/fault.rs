@@ -381,10 +381,9 @@ impl FaultState {
     }
 
     /// Whether a descriptor upload to one HSDir fails. Keyed on
-    /// `(relay, descriptor, time)` — not the query serial — because
-    /// publish order must not influence the decision: each publish unit
-    /// rolls this per upload and only merges the *count* of drops back,
-    /// in canonical `ServiceId` order.
+    /// `(relay, descriptor, time)` — not the query serial — so the
+    /// decision depends neither on the order services publish in nor
+    /// on which services a round re-places.
     pub(crate) fn publish_drop_roll(
         &self,
         relay: RelayId,

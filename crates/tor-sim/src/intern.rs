@@ -22,15 +22,86 @@
 //!   unsorted `pending` tail; [`ServiceInterner::flush`] merges the
 //!   tail before any shared-`&self` wave so reads stay `O(log n)`.
 
-use onion_crypto::descriptor::{DescriptorId, TimePeriod, REPLICAS};
+use onion_crypto::descriptor::{DescriptorId, TimePeriod, HSDIRS_PER_REPLICA, REPLICAS};
 use onion_crypto::onion::OnionAddress;
 
 use crate::cells::TrafficSignature;
 use crate::network::ServiceRecord;
+use crate::relay::RelayId;
 
 /// A service's cached descriptor-ID pair and the period it was
 /// computed in.
 pub type DescPair = (TimePeriod, [DescriptorId; REPLICAS as usize]);
+
+/// Upload slots one service fills per round: both replicas times the
+/// responsible HSDirs per replica. Slot `r * HSDIRS_PER_REPLICA + k`
+/// is replica `r`'s `k`-th responsible HSDir.
+pub(crate) const UPLOAD_SLOTS: usize = REPLICAS as usize * HSDIRS_PER_REPLICA;
+
+/// Where a service's descriptors went in its latest publish round.
+///
+/// A round reuses the placement instead of walking the ring again when
+/// nothing it depends on moved: the same time period (so the same
+/// descriptor IDs), a ring that still puts the IDs on the same HSDirs,
+/// and a placement computed with faults inert (so every responsible
+/// slot was uploaded to). Kept compact, because the column has a row
+/// per interned onion and is copied with every network clone.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Placement {
+    /// The descriptor IDs uploaded, in replica order.
+    pub ids: [DescriptorId; REPLICAS as usize],
+    /// The time period `ids` belong to.
+    pub period: TimePeriod,
+    /// The HSDir ring generation the slots were looked up in.
+    pub ring: u32,
+    /// Relay index per upload slot; [`Placement::NO_RELAY`] where the
+    /// ring had fewer HSDirs than slots.
+    pub slots: [u32; UPLOAD_SLOTS],
+    /// Bit `i` set: slot `i` received its upload.
+    pub uploaded: u8,
+    /// Computed with faults inert, so every responsible slot was
+    /// uploaded to and the placement holds until the period rotates or
+    /// the ring moves near `ids`.
+    pub reusable: bool,
+}
+
+// The column is copied with every network clone; keep a row at 80 bytes.
+const _: () = assert!(std::mem::size_of::<Option<Placement>>() <= 80);
+
+impl Placement {
+    /// Slot marker for "no responsible HSDir".
+    pub(crate) const NO_RELAY: u32 = u32::MAX;
+
+    /// The `(relay index, descriptor ID)` pairs that were uploaded.
+    pub(crate) fn uploads(&self) -> impl Iterator<Item = (usize, DescriptorId)> + '_ {
+        (0..UPLOAD_SLOTS)
+            .filter(|&i| self.uploaded >> i & 1 == 1)
+            .map(|i| (self.slots[i] as usize, self.ids[i / HSDIRS_PER_REPLICA]))
+    }
+
+    /// Replica `replica`'s responsible HSDirs in ring order, if the ring
+    /// had all of them.
+    pub(crate) fn responsible(&self, replica: usize) -> Option<[RelayId; HSDIRS_PER_REPLICA]> {
+        let slots = &self.slots[replica * HSDIRS_PER_REPLICA..][..HSDIRS_PER_REPLICA];
+        if slots.contains(&Self::NO_RELAY) {
+            return None;
+        }
+        Some(std::array::from_fn(|k| RelayId(slots[k] as usize)))
+    }
+
+    /// Whether this placement uploaded `id` to relay `relay`.
+    pub(crate) fn has_upload(&self, relay: usize, id: DescriptorId) -> bool {
+        self.uploads().any(|u| u == (relay, id))
+    }
+
+    /// The responsible relays of every slot, dropped uploads included.
+    pub(crate) fn relays(&self) -> impl Iterator<Item = usize> + '_ {
+        self.slots
+            .iter()
+            .filter(|&&r| r != Self::NO_RELAY)
+            .map(|&r| r as usize)
+    }
+}
 
 /// Pending-tail size at which [`ServiceInterner::intern`] merges the
 /// tail into the sorted index on its own.
@@ -146,6 +217,9 @@ pub struct ServiceTable {
     slot_hours: Vec<u64>,
     /// Per-period descriptor-ID pair cache.
     desc_cache: Vec<Option<DescPair>>,
+    /// Each service's latest publish round (`None` if it uploaded
+    /// nothing: offline, phantom, or never online).
+    placements: Vec<Option<Placement>>,
     /// Armed traffic signatures (attack targets only).
     signatures: Vec<Option<TrafficSignature>>,
     /// The period each armed target's `sig_index` entries were built for.
@@ -164,6 +238,7 @@ impl ServiceTable {
             self.online.resize(rows, None);
             self.slot_hours.resize(rows, 0);
             self.desc_cache.resize(rows, None);
+            self.placements.resize(rows, None);
             self.signatures.resize(rows, None);
             self.sig_periods.resize(rows, None);
         }
@@ -217,16 +292,6 @@ impl ServiceTable {
             .filter_map(|(&onion, online)| online.map(|online| ServiceRecord { onion, online }))
     }
 
-    /// IDs of all currently online registered services, in `ServiceId`
-    /// order — the canonical publish-wave partition order.
-    pub fn online_ids(&self) -> impl Iterator<Item = ServiceId> + '_ {
-        self.online
-            .iter()
-            .enumerate()
-            .filter(|&(_, online)| *online == Some(true))
-            .map(|(i, _)| ServiceId(i as u32))
-    }
-
     /// The cached descriptor-ID pair of a row, if any.
     pub fn cache(&self, id: ServiceId) -> Option<DescPair> {
         self.desc_cache[id.index()]
@@ -235,6 +300,25 @@ impl ServiceTable {
     /// Installs a row's descriptor-ID pair for `period`.
     pub fn set_cache(&mut self, id: ServiceId, pair: DescPair) {
         self.desc_cache[id.index()] = Some(pair);
+    }
+
+    /// Number of rows (registered services and phantoms).
+    pub(crate) fn len(&self) -> usize {
+        self.online.len()
+    }
+
+    /// A row's latest placement, if it uploaded anything.
+    pub(crate) fn placement(&self, id: ServiceId) -> Option<Placement> {
+        self.placements[id.index()]
+    }
+
+    /// Replaces a row's placement, returning the previous one.
+    pub(crate) fn replace_placement(
+        &mut self,
+        id: ServiceId,
+        placement: Option<Placement>,
+    ) -> Option<Placement> {
+        std::mem::replace(&mut self.placements[id.index()], placement)
     }
 
     /// Accumulated slot-hours of a row.
@@ -371,8 +455,8 @@ mod tests {
         t.set_online(onion(2), true);
         t.set_online(onion(3), true);
         assert_eq!(t.is_online(phantom), None, "phantoms cannot come online");
-        let online: Vec<ServiceId> = t.online_ids().collect();
-        assert_eq!(online, vec![ServiceId(0), ServiceId(1)]);
+        let online: Vec<Option<bool>> = (0..3).map(|i| t.is_online(ServiceId(i))).collect();
+        assert_eq!(online, vec![Some(true), Some(true), None]);
     }
 
     #[test]

@@ -19,9 +19,9 @@ use onion_crypto::onion::OnionAddress;
 use crate::authority::Authority;
 use crate::cells::TrafficSignature;
 use crate::clock::{SimTime, DAY, HOUR};
-use crate::consensus::Consensus;
+use crate::consensus::{Consensus, RingChange};
 use crate::fault::{FaultCounters, FaultPlan, FaultState, RetryPolicy};
-use crate::intern::{ServiceId, ServiceTable};
+use crate::intern::{DescPair, Placement, ServiceId, ServiceTable, UPLOAD_SLOTS};
 
 use crate::guard::GuardSet;
 use crate::relay::{Ipv4, Operator, Relay, RelayId};
@@ -273,9 +273,16 @@ pub struct Network {
     /// Optional per-round trace recorder (disabled by default; purely
     /// observational, never consulted by simulation logic).
     round_trace: Option<RoundRecorder>,
-    /// Per-relay publish batches, reused round to round so the
-    /// publish path stays allocation-free at steady state.
-    publish_batches: Vec<Vec<StoredDescriptor>>,
+    /// Bumped by a vote whose HSDir ring differs from the previous
+    /// consensus's. A [`Placement`] from the generation before holds
+    /// only where `ring_change` moved nothing near it; an older one is
+    /// stale.
+    ring_generation: u32,
+    /// How the vote that started `ring_generation` moved the ring.
+    ring_change: RingChange,
+    /// Per-relay buffers of the uploads that are new this round,
+    /// reused round to round.
+    new_uploads: Vec<Vec<StoredDescriptor>>,
     rng: StdRng,
 }
 
@@ -432,8 +439,7 @@ impl Network {
 
     /// One consensus round, inline on the caller's thread: churn and
     /// fault rolls, the authority vote, descriptor publication and
-    /// store maintenance. Rounds are too short to repay a thread fork
-    /// (DESIGN.md, "Consensus rounds run inline").
+    /// store maintenance (DESIGN.md, "Consensus rounds run inline").
     fn step(&mut self) {
         self.svc.flush();
         if !self.faults.is_inert() {
@@ -441,18 +447,13 @@ impl Network {
             // reflects this round's crashes and restarts.
             self.faults.on_round(&mut self.relays, self.time);
         }
-        self.consensus = self.authority.vote(&self.relays, self.time);
-        self.publish_descriptors();
-        // Store maintenance runs after the publish merge: expiry only
-        // drops >24 h-old descriptors (never this round's uploads) and
-        // publication never reads stores, so each store can expire and
-        // apply its batch in one pass.
-        for (i, store) in self.stores.iter_mut().enumerate() {
-            store.expire(self.time);
-            if let Some(batch) = self.publish_batches.get(i) {
-                store.apply_batch(batch);
-            }
+        let consensus = self.authority.vote(&self.relays, self.time);
+        if let Some(change) = consensus.hsdir_ring_change(&self.consensus) {
+            self.ring_generation = self.ring_generation.wrapping_add(1);
+            self.ring_change = change;
         }
+        self.consensus = consensus;
+        self.publish_descriptors();
         self.refresh_signature_index();
         self.record_round();
     }
@@ -475,76 +476,113 @@ impl Network {
         }
     }
 
-    /// Publishes both descriptor replicas of every online service to the
-    /// currently responsible HSDirs, and records slot-hour coverage (at
-    /// most once per hour) for logging relays.
+    /// Publishes both descriptor replicas of every online service to its
+    /// responsible HSDirs, records slot-hour coverage (at most once per
+    /// hour) for logging relays, then runs store maintenance.
     ///
-    /// Each online service is one read-only work unit (descriptor IDs,
-    /// responsible slots, drop rolls — all pure hashes, no RNG), and
-    /// the resulting [`PublishEffect`]s merge in canonical `ServiceId`
-    /// order into the cache, the hot counters and the per-relay upload
-    /// batches that store maintenance then applies.
-    ///
-    /// Descriptor IDs come from the per-period cache: only services
-    /// whose staggered 24 h period rolled over since the previous round
-    /// pay for fresh SHA-1 work.
+    /// A round writes only what changed. Every online service probes
+    /// the per-period descriptor-ID cache, so its hits, misses and SHA-1
+    /// work are counted every round. A service whose [`Placement`] still
+    /// holds — the same period, computed with faults inert and faults
+    /// still inert, and a ring that still puts its IDs on the same
+    /// HSDirs ([`ring_holds`]) — then does no ring lookup and no store
+    /// write: its live entries read as published at this round. Any
+    /// other service places its uploads afresh ([`place_uploads`]) and
+    /// diffs them against its previous placement. Uploads that stopped
+    /// are retired: they keep the previous round's time and expire 24 h
+    /// later. New uploads go into one merge per store. A service that
+    /// went offline retires all of its uploads.
     fn publish_descriptors(&mut self) {
         let time = self.time;
-        let hour = self.time.hours();
+        let hour = time.hours();
         let record_coverage = self.coverage_recorded_hour != Some(hour);
         let faults_active = !self.faults.is_inert();
-        let cache_enabled = self.desc_cache_enabled;
-        let online: Vec<ServiceId> = self.svc.online_ids().collect();
-
-        let effects: Vec<PublishEffect> = online
-            .iter()
-            .map(|&sid| {
-                publish_unit(
-                    &self.svc,
-                    &self.consensus,
-                    &self.relays,
-                    &self.faults,
-                    faults_active,
-                    cache_enabled,
-                    sid,
-                    time,
-                )
-            })
-            .collect();
-
         let Network {
             svc,
             hot,
             faults,
-            publish_batches,
             relays,
+            consensus,
+            stores,
+            new_uploads,
+            desc_cache_enabled,
+            ring_generation,
+            ring_change,
             ..
         } = &mut *self;
-        if publish_batches.len() < relays.len() {
-            publish_batches.resize_with(relays.len(), Vec::new);
+        if new_uploads.len() < relays.len() {
+            new_uploads.resize_with(relays.len(), Vec::new);
         }
-        for batch in publish_batches.iter_mut() {
-            batch.clear();
+        for row in 0..svc.len() {
+            let sid = ServiceId(row as u32);
+            if svc.is_online(sid) != Some(true) {
+                // Retirement stamps the previous round's time, so it
+                // runs before the stores are stamped with this one.
+                if let Some(old) = svc.replace_placement(sid, None) {
+                    for (relay, id) in old.uploads() {
+                        stores[relay].retire(id);
+                    }
+                }
+                continue;
+            }
+            let (period, ids) = pair_for(svc, hot, *desc_cache_enabled, sid, time.unix());
+            let placement = match svc.placement(sid) {
+                Some(p)
+                    if p.reusable
+                        && !faults_active
+                        && p.period == period
+                        && ring_holds(&p, *ring_generation, ring_change, relays) =>
+                {
+                    if p.ring != *ring_generation {
+                        let p = Placement {
+                            ring: *ring_generation,
+                            ..p
+                        };
+                        svc.replace_placement(sid, Some(p));
+                    }
+                    p
+                }
+                old => {
+                    let (p, drops) = place_uploads(
+                        consensus,
+                        faults,
+                        faults_active,
+                        (period, ids),
+                        *ring_generation,
+                        time,
+                    );
+                    faults.counters.publish_drops += drops;
+                    for (relay, id) in old.iter().flat_map(Placement::uploads) {
+                        if !p.has_upload(relay, id) {
+                            stores[relay].retire(id);
+                        }
+                    }
+                    let onion = svc.onion(sid);
+                    for (relay, id) in p.uploads() {
+                        if !old.is_some_and(|o| o.has_upload(relay, id)) {
+                            new_uploads[relay].push(StoredDescriptor::live(id, onion));
+                        }
+                    }
+                    svc.replace_placement(sid, Some(p));
+                    p
+                }
+            };
+            if record_coverage {
+                // Slot coverage is derived from public consensuses
+                // (responsibility), so a dropped upload still counts
+                // the slot — matching what the attacker's normalisation
+                // could actually observe.
+                let logging = placement.relays().filter(|&r| relays[r].logging).count();
+                svc.add_slot_hours(sid, logging as u64);
+            }
         }
-        for (&sid, fx) in online.iter().zip(&effects) {
-            if let Some(pair) = fx.cache {
-                svc.set_cache(sid, pair);
-            }
-            hot.desc_cache_hits += u64::from(fx.hits);
-            hot.desc_cache_misses += u64::from(fx.misses);
-            hot.sha1_digests += u64::from(fx.sha1);
-            faults.counters.publish_drops += u64::from(fx.drops);
-            if record_coverage && fx.logging_slots > 0 {
-                svc.add_slot_hours(sid, u64::from(fx.logging_slots));
-            }
-            let onion = svc.onion(sid);
-            for &(relay, desc_id) in &fx.uploads[..usize::from(fx.n_uploads)] {
-                publish_batches[relay.0].push(StoredDescriptor {
-                    descriptor_id: desc_id,
-                    onion,
-                    published: time,
-                });
-            }
+        // Expiry never drops this round's uploads: live entries read as
+        // published now once the store is stamped.
+        for (store, fresh) in stores.iter_mut().zip(new_uploads.iter_mut()) {
+            store.stamp(time);
+            store.expire(time);
+            store.apply_batch(fresh);
+            fresh.clear();
         }
         if record_coverage {
             self.coverage_recorded_hour = Some(hour);
@@ -596,11 +634,19 @@ impl Network {
             sid,
             self.time.unix(),
         )
+        .1
     }
 
     /// Cumulative hot-path work counters.
     pub fn hot_counters(&self) -> HotPathCounters {
         self.hot
+    }
+
+    /// Whether fault injection drops an upload of `id` to `relay` in a
+    /// round at the current time (for reference models in tests).
+    #[cfg(test)]
+    pub(crate) fn upload_dropped(&self, relay: RelayId, id: DescriptorId) -> bool {
+        !self.faults.is_inert() && self.faults.publish_drop_roll(relay, id, self.time)
     }
 
     /// A deterministic 64-bit digest of the complete simulated world:
@@ -1174,21 +1220,22 @@ impl Network {
 /// Descriptor-ID pair lookup against the per-period cache column, free
 /// of `&mut Network` so callers can run it under a split borrow. With
 /// the cache disabled it recomputes every time (the test reference
-/// path) while still counting the SHA-1 work.
+/// path) while still counting the SHA-1 work. Returns the pair with
+/// the period it belongs to.
 fn pair_for(
     svc: &mut ServiceTable,
     hot: &mut HotPathCounters,
     cache_enabled: bool,
     sid: ServiceId,
     now_unix: u64,
-) -> [DescriptorId; REPLICAS as usize] {
+) -> DescPair {
     let perm = svc.onion(sid).permanent_id();
     let period = TimePeriod::at(now_unix, perm);
     if cache_enabled {
         if let Some((cached_period, ids)) = svc.cache(sid) {
             if cached_period == period {
                 hot.desc_cache_hits += 1;
-                return ids;
+                return (period, ids);
             }
         }
         hot.desc_cache_misses += 1;
@@ -1199,95 +1246,59 @@ fn pair_for(
     if cache_enabled {
         svc.set_cache(sid, (period, ids));
     }
-    ids
+    (period, ids)
 }
 
-/// Upload slots one service can fill per round: both replicas times the
-/// responsible HSDirs per replica.
-const UPLOAD_SLOTS: usize = REPLICAS as usize * HSDIRS_PER_REPLICA;
-
-/// Everything one service's publish work unit decided, recorded
-/// allocation-free for the sequential `ServiceId`-order merge.
-#[derive(Clone, Copy, Debug)]
-struct PublishEffect {
-    /// Fresh cache entry to install (`None` on a cache hit or with the
-    /// cache disabled).
-    cache: Option<(TimePeriod, [DescriptorId; REPLICAS as usize])>,
-    /// Descriptor-ID cache hits (0 or 1).
-    hits: u8,
-    /// Descriptor-ID cache misses (0 or 1).
-    misses: u8,
-    /// SHA-1 finalisations performed.
-    sha1: u8,
-    /// Responsible slots held by logging relays this round.
-    logging_slots: u8,
-    /// Uploads dropped by fault injection.
-    drops: u8,
-    /// Successful uploads, in replica-then-ring order.
-    uploads: [(RelayId, DescriptorId); UPLOAD_SLOTS],
-    /// How many `uploads` entries are filled.
-    n_uploads: u8,
+/// Whether `p`'s slots are still the responsible HSDirs in ring
+/// generation `ring`: `p` was placed in it, or in the generation before
+/// and `change` moved nothing near its descriptor IDs.
+fn ring_holds(p: &Placement, ring: u32, change: &RingChange, relays: &[Relay]) -> bool {
+    p.ring == ring
+        || p.ring.wrapping_add(1) == ring
+            && p.ids.iter().enumerate().all(|(replica, &id)| {
+                p.responsible(replica).is_some_and(|responsible| {
+                    let last = relays[responsible[HSDIRS_PER_REPLICA - 1].0].fingerprint();
+                    change.keeps(id, responsible, last)
+                })
+            })
 }
 
-/// The publish work unit for one online service: pure hash work
-/// (descriptor IDs, ring responsibility, keyed drop rolls — no RNG, no
-/// shared mutation).
-#[allow(clippy::too_many_arguments)]
-fn publish_unit(
-    svc: &ServiceTable,
+/// Looks up one service's responsible HSDirs for its descriptor IDs in
+/// `consensus` (of ring generation `ring`) and rolls each upload's
+/// fault drop: the slow path of a publish round, run only when a
+/// service's [`Placement`] cannot be reused. Returns the placement and
+/// the number of dropped uploads.
+fn place_uploads(
     consensus: &Consensus,
-    relays: &[Relay],
     faults: &FaultState,
     faults_active: bool,
-    cache_enabled: bool,
-    sid: ServiceId,
+    (period, ids): DescPair,
+    ring: u32,
     time: SimTime,
-) -> PublishEffect {
-    let onion = svc.onion(sid);
-    let perm = onion.permanent_id();
-    let period = TimePeriod::at(time.unix(), perm);
-    let (ids, cache, hits, misses, sha1) = match svc.cache(sid) {
-        Some((cached_period, ids)) if cache_enabled && cached_period == period => {
-            (ids, None, 1, 0, 0)
-        }
-        _ => {
-            let ids = Replica::ALL.map(|r| DescriptorId::compute(perm, period, r));
-            let cache = cache_enabled.then_some((period, ids));
-            // With the cache disabled only the SHA-1 work is counted,
-            // exactly like the sequential `pair_for` reference path.
-            (ids, cache, 0, u8::from(cache_enabled), 2 * REPLICAS)
-        }
+) -> (Placement, u64) {
+    let mut placement = Placement {
+        ids,
+        period,
+        ring,
+        slots: [Placement::NO_RELAY; UPLOAD_SLOTS],
+        uploaded: 0,
+        reusable: !faults_active,
     };
-    let mut fx = PublishEffect {
-        cache,
-        hits,
-        misses,
-        sha1,
-        logging_slots: 0,
-        drops: 0,
-        uploads: [(RelayId(usize::MAX), ids[0]); UPLOAD_SLOTS],
-        n_uploads: 0,
-    };
+    let mut drops = 0;
     let mut responsible = [RelayId(usize::MAX); HSDIRS_PER_REPLICA];
-    for desc_id in ids {
+    for (replica, desc_id) in ids.into_iter().enumerate() {
         let n = consensus.responsible_hsdirs_into(desc_id, &mut responsible);
-        for &relay in &responsible[..n] {
-            // Slot coverage is derived from public consensuses
-            // (responsibility), so a dropped upload still counts the
-            // slot — matching what the attacker's normalisation could
-            // actually observe.
-            if relays[relay.0].logging {
-                fx.logging_slots += 1;
-            }
+        for (k, &relay) in responsible[..n].iter().enumerate() {
+            let slot = replica * HSDIRS_PER_REPLICA + k;
+            placement.slots[slot] = u32::try_from(relay.0).expect("relay index fits in u32");
             if faults_active && faults.publish_drop_roll(relay, desc_id, time) {
-                fx.drops += 1;
-                continue;
+                drops += 1;
+            } else {
+                placement.uploaded |= 1 << slot;
             }
-            fx.uploads[usize::from(fx.n_uploads)] = (relay, desc_id);
-            fx.n_uploads += 1;
         }
     }
-    fx
+    (placement, drops)
 }
 
 // Measurement waves share `&Network` across scoped worker threads, so
@@ -1452,7 +1463,9 @@ impl NetworkBuilder {
             desc_cache_enabled: true,
             faults: FaultState::new(self.faults),
             round_trace: None,
-            publish_batches: Vec::new(),
+            ring_generation: 0,
+            ring_change: RingChange::default(),
+            new_uploads: Vec::new(),
             rng: StdRng::seed_from_u64(self.seed ^ 0x00c1_1e77_5eed),
         }
     }
@@ -1588,6 +1601,231 @@ mod tests {
         // And the descriptor is still fetchable after rotation.
         let client = net.add_client(Ipv4::new(9, 9, 9, 9));
         assert_eq!(net.client_fetch(client, onion), FetchOutcome::Found);
+    }
+
+    /// An 80-relay network whose relays are all established HSDirs, so
+    /// the ring changes only when a test changes it.
+    fn steady_net() -> Network {
+        NetworkBuilder::new()
+            .relays(80)
+            .seed(11)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .established_fraction(1.0)
+            .build()
+    }
+
+    /// `n` onions whose descriptor IDs do not rotate within `hours`
+    /// hours after `net`'s current time.
+    fn steady_onions(net: &Network, n: usize, hours: u64) -> Vec<OnionAddress> {
+        let (from, to) = (net.time().unix(), (net.time() + hours * HOUR).unix());
+        (0..=255u8)
+            .map(|k| OnionAddress::from_pubkey(&[k, 0x5e]))
+            .filter(|o| {
+                TimePeriod::at(from, o.permanent_id()) == TimePeriod::at(to, o.permanent_id())
+            })
+            .take(n)
+            .collect()
+    }
+
+    /// Every stored entry of `onion` as (relay, descriptor ID, reported
+    /// publication time), in relay and then ID order.
+    fn entries_of(net: &Network, onion: OnionAddress) -> Vec<(usize, DescriptorId, SimTime)> {
+        (0..net.relays().len())
+            .flat_map(|i| {
+                net.store(RelayId(i))
+                    .iter()
+                    .filter(|d| d.onion == onion)
+                    .map(move |d| (i, d.descriptor_id, d.published))
+            })
+            .collect()
+    }
+
+    /// The (relay, descriptor ID) uploads `onion` owes the current ring.
+    fn responsible_pairs(net: &Network, onion: OnionAddress) -> Vec<(usize, DescriptorId)> {
+        let mut pairs: Vec<(usize, DescriptorId)> = DescriptorId::pair_at(onion, net.time().unix())
+            .into_iter()
+            .flat_map(|id| {
+                net.consensus()
+                    .responsible_hsdirs(id)
+                    .into_iter()
+                    .map(move |e| (e.relay.0, id))
+            })
+            .collect();
+        pairs.sort();
+        pairs
+    }
+
+    #[test]
+    fn switching_publish_drops_off_restores_every_upload_in_one_round() {
+        let mut net = steady_net();
+        net.set_fault_plan(FaultPlan {
+            seed: 21,
+            publish_drop_rate: 0.5,
+            ..FaultPlan::none()
+        });
+        let onions: Vec<OnionAddress> = (0..12u8)
+            .map(|k| OnionAddress::from_pubkey(&[k, 4, 4]))
+            .collect();
+        for &o in &onions {
+            net.register_service(o, true);
+        }
+        net.advance_hours(1);
+        assert!(net.fault_counters().publish_drops > 0);
+        // Same time, same ring: only the drops can make the faulted
+        // placements unusable.
+        net.set_fault_plan(FaultPlan::none());
+        net.revote();
+        let now = net.time();
+        for &o in &onions {
+            let pairs = responsible_pairs(&net, o);
+            assert_eq!(pairs.len(), 6);
+            for (relay, id) in pairs {
+                let got = net.store(RelayId(relay)).fetch(id).map(|d| d.published);
+                assert_eq!(got, Some(now), "relay {relay} misses an upload");
+            }
+        }
+    }
+
+    #[test]
+    fn service_offline_and_back_around_a_revote_keeps_one_entry_per_id() {
+        let mut net = steady_net();
+        let onion = steady_onions(&net, 1, 4)[0];
+        net.register_service(onion, true);
+        net.advance_hours(1);
+        let t1 = net.time();
+        let live: Vec<(usize, DescriptorId, SimTime)> = responsible_pairs(&net, onion)
+            .into_iter()
+            .map(|(relay, id)| (relay, id, t1))
+            .collect();
+        assert_eq!(entries_of(&net, onion), live);
+
+        net.set_service_online(onion, false);
+        net.revote();
+        net.set_service_online(onion, true);
+        net.revote();
+        assert_eq!(entries_of(&net, onion), live, "one entry per ID, at t1");
+        net.advance_hours(1);
+        let t2 = net.time();
+        let at = |t: SimTime| {
+            live.iter()
+                .map(|&(r, id, _)| (r, id, t))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            entries_of(&net, onion),
+            at(t2),
+            "live again after the revote"
+        );
+
+        // Offline across a round: the entries keep the last upload's
+        // time, then one revote makes them current again.
+        net.set_service_online(onion, false);
+        net.advance_hours(1);
+        assert_eq!(entries_of(&net, onion), at(t2));
+        net.set_service_online(onion, true);
+        net.revote();
+        assert_eq!(entries_of(&net, onion), at(net.time()));
+    }
+
+    #[test]
+    fn relay_leaving_and_rejoining_the_ring_leaves_no_stale_entry() {
+        let mut net = steady_net();
+        let onion = steady_onions(&net, 1, 5)[0];
+        net.register_service(onion, true);
+        net.advance_hours(1);
+        let t1 = net.time();
+        let before = responsible_pairs(&net, onion);
+        let (gone, id) = before[0];
+
+        net.relay_mut(RelayId(gone)).reachable = false;
+        net.advance_hours(1);
+        let t2 = net.time();
+        let (stand_in, _) = responsible_pairs(&net, onion)
+            .into_iter()
+            .find(|pair| !before.contains(pair))
+            .expect("another HSDir takes over the slot");
+        assert_eq!(
+            net.store(RelayId(gone)).fetch(id).unwrap().published,
+            t1,
+            "the departed upload keeps the previous round's time"
+        );
+        assert_eq!(
+            net.store(RelayId(stand_in)).fetch(id).unwrap().published,
+            t2
+        );
+
+        net.relay_mut(RelayId(gone)).reachable = true;
+        net.advance_hours(2);
+        let t4 = net.time();
+        assert_eq!(responsible_pairs(&net, onion), before, "the ring is back");
+        // Current uploads read as this round; the stand-in's copy stays
+        // frozen at its last upload.
+        let mut expected: Vec<(usize, DescriptorId, SimTime)> =
+            before.iter().map(|&(r, i)| (r, i, t4)).collect();
+        expected.push((stand_in, id, t2));
+        expected.sort();
+        assert_eq!(entries_of(&net, onion), expected);
+    }
+
+    #[test]
+    fn desc_cache_toggle_keeps_the_eager_counts() {
+        let mut net = steady_net();
+        let onions = steady_onions(&net, 10, 6);
+        for &o in &onions {
+            net.register_service(o, true);
+        }
+        let counts = |sha1_digests, desc_cache_hits, desc_cache_misses| HotPathCounters {
+            sha1_digests,
+            desc_cache_hits,
+            desc_cache_misses,
+            fetches: 0,
+        };
+        net.advance_hours(1);
+        assert_eq!(net.hot_counters(), counts(40, 0, 10));
+        net.set_desc_cache_enabled(false);
+        let before = net.hot_counters();
+        net.advance_hours(2);
+        assert_eq!(net.hot_counters().since(before), counts(80, 0, 0));
+        net.set_desc_cache_enabled(true);
+        let before = net.hot_counters();
+        net.advance_hours(1);
+        assert_eq!(net.hot_counters().since(before), counts(40, 0, 10));
+        let before = net.hot_counters();
+        net.advance_hours(1);
+        assert_eq!(
+            net.hot_counters().since(before),
+            counts(0, 10, 0),
+            "a reused placement still probes the cache"
+        );
+        for &o in &onions {
+            for (relay, id) in responsible_pairs(&net, o) {
+                let got = net.store(RelayId(relay)).fetch(id).map(|d| d.published);
+                assert_eq!(got, Some(net.time()));
+            }
+        }
+    }
+
+    #[test]
+    fn live_entries_hash_and_read_like_fresh_uploads() {
+        // `live` keeps its uploads live; `frozen` retires them at the
+        // same round and comes back online before the next one, so the
+        // two differ only in how their stores hold the same entries.
+        let setup = || {
+            let mut net = steady_net();
+            net.register_service(OnionAddress::from_pubkey(b"hash svc"), true);
+            net.advance_hours(1);
+            net
+        };
+        let onion = OnionAddress::from_pubkey(b"hash svc");
+        let mut live = setup();
+        live.revote();
+        let mut frozen = setup();
+        frozen.set_service_online(onion, false);
+        frozen.revote();
+        frozen.set_service_online(onion, true);
+        assert_eq!(entries_of(&live, onion), entries_of(&frozen, onion));
+        assert_eq!(live.state_hash(), frozen.state_hash());
+        assert!(entries_of(&live, onion).iter().all(|e| e.2 == live.time()));
     }
 
     #[test]

@@ -2,16 +2,20 @@
 
 #![cfg(test)]
 
+use std::collections::{BTreeMap, HashMap};
+
 use proptest::prelude::*;
 
-use onion_crypto::descriptor::DescriptorId;
+use onion_crypto::descriptor::{DescriptorId, TimePeriod};
 use onion_crypto::identity::Fingerprint;
+use onion_crypto::onion::OnionAddress;
 use onion_crypto::sha1::{Digest, Sha1};
 use onion_crypto::u160::U160;
 
-use crate::clock::SimTime;
+use crate::clock::{SimTime, DAY, HOUR};
 use crate::consensus::{Consensus, ConsensusEntry};
 use crate::flags::RelayFlags;
+use crate::network::{HotPathCounters, Network, NetworkBuilder};
 use crate::relay::{Ipv4, RelayId};
 
 fn consensus_from_fps(fps: &[[u8; 20]]) -> Consensus {
@@ -86,6 +90,50 @@ fn field_spans(doc: &str) -> Vec<(usize, usize)> {
         }
     }
     spans
+}
+
+/// A reference publisher for [`incremental_publication_matches_eager_model`]:
+/// every round it expires each store at 24 h and then uploads every
+/// online service's descriptors to all of its responsible HSDirs
+/// afresh, minus the uploads fault injection drops — the publication
+/// rule with nothing carried over between rounds.
+#[derive(Default)]
+struct EagerPublisher {
+    /// Per relay: descriptor ID → (onion, publication time).
+    stores: Vec<BTreeMap<DescriptorId, (OnionAddress, SimTime)>>,
+    /// The period each service's descriptor-ID pair was last derived in.
+    cached: HashMap<OnionAddress, TimePeriod>,
+    hot: HotPathCounters,
+    publish_drops: u64,
+}
+
+impl EagerPublisher {
+    /// Replays the round `net` just ran.
+    fn round(&mut self, net: &Network, services: &[(OnionAddress, bool)]) {
+        let now = net.time();
+        self.stores.resize(net.relays().len(), BTreeMap::new());
+        for store in &mut self.stores {
+            store.retain(|_, &mut (_, published)| now.since(published) < DAY);
+        }
+        for &(onion, _) in services.iter().filter(|&&(_, online)| online) {
+            let period = TimePeriod::at(now.unix(), onion.permanent_id());
+            if self.cached.insert(onion, period) == Some(period) {
+                self.hot.desc_cache_hits += 1;
+            } else {
+                self.hot.desc_cache_misses += 1;
+                self.hot.sha1_digests += 4;
+            }
+            for id in DescriptorId::pair_at(onion, now.unix()) {
+                for entry in net.consensus().responsible_hsdirs(id) {
+                    if net.upload_dropped(entry.relay, id) {
+                        self.publish_drops += 1;
+                    } else {
+                        self.stores[entry.relay.0].insert(id, (onion, now));
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -252,8 +300,6 @@ proptest! {
         hours in 1u64..30,
     ) {
         use crate::fault::FaultPlan;
-        use crate::network::NetworkBuilder;
-        use std::collections::HashMap;
 
         let plan = FaultPlan {
             seed: fault_seed,
@@ -288,55 +334,89 @@ proptest! {
     /// a naive `HashMap` reference model on every observable — length,
     /// membership, fetched payloads, iteration contents — across
     /// arbitrary interleavings of single publishes, canonical batch
-    /// merges, and expiry sweeps.
+    /// merges, live publications, retirements, round stamps and expiry
+    /// sweeps. The model keeps explicit times only: a live entry is
+    /// re-stamped with every round's time until it is retired or
+    /// overwritten.
     #[test]
     fn store_matches_naive_hashmap_model(
         rounds in proptest::collection::vec(
             (
-                proptest::collection::vec((any::<u8>(), 0u64..40), 0..12),
+                proptest::collection::vec((any::<u8>(), 0u64..40, 0u8..4), 0..12),
                 1u64..6,
+                any::<bool>(),
             ),
             1..16,
         ),
     ) {
-        use std::collections::HashMap;
+        use std::collections::HashSet;
         use crate::store::{DescriptorStore, StoredDescriptor};
-        use onion_crypto::OnionAddress;
 
         let base = SimTime::from_ymd(2013, 2, 1);
         let mut now = base + 48 * crate::clock::HOUR;
         let mut store = DescriptorStore::default();
         let mut model: HashMap<DescriptorId, StoredDescriptor> = HashMap::new();
+        let mut live: HashSet<DescriptorId> = HashSet::new();
+        let mut latest = SimTime::EPOCH;
 
-        for (entries, advance) in rounds {
-            let descs: Vec<StoredDescriptor> = entries
-                .iter()
-                .map(|&(key, age_hours)| StoredDescriptor {
-                    descriptor_id: DescriptorId::from_digest(
-                        Sha1::digest([key, 0x5d]),
-                    ),
-                    onion: OnionAddress::from_pubkey(&[key]),
-                    published: base + (48 + age_hours) * crate::clock::HOUR,
-                })
-                .collect();
-            // Even-indexed entries take the single-publish path, the
-            // rest go through one canonical batch merge — applied
-            // after the singles, exactly as `step()` orders them.
-            let mut batch = Vec::new();
-            for (i, d) in descs.iter().enumerate() {
-                if i % 2 == 0 {
-                    store.publish(*d);
-                    model.insert(d.descriptor_id, *d);
-                } else {
-                    batch.push(*d);
+        for (entries, advance, stamp) in rounds {
+            if stamp {
+                store.stamp(now);
+                latest = now;
+                for id in &live {
+                    model.get_mut(id).unwrap().published = now;
                 }
             }
-            store.apply_batch(&batch);
-            for d in &batch {
-                model.insert(d.descriptor_id, *d);
+            let descs: Vec<(StoredDescriptor, u8)> = entries
+                .iter()
+                .map(|&(key, age_hours, op)| {
+                    let d = StoredDescriptor {
+                        descriptor_id: DescriptorId::from_digest(
+                            Sha1::digest([key, 0x5d]),
+                        ),
+                        onion: OnionAddress::from_pubkey(&[key]),
+                        published: base + (48 + age_hours) * crate::clock::HOUR,
+                    };
+                    (d, op)
+                })
+                .collect();
+            // Op 0 takes the single-publish path and op 3 retires, in
+            // entry order; ops 1 (explicit time) and 2 (live) go
+            // through one canonical batch merge — applied after the
+            // singles, exactly as a round orders them.
+            let mut batch = Vec::new();
+            for &(d, op) in &descs {
+                match op {
+                    0 => {
+                        store.publish(d);
+                        model.insert(d.descriptor_id, d);
+                        live.remove(&d.descriptor_id);
+                    }
+                    1 => batch.push(d),
+                    2 => batch.push(StoredDescriptor::live(d.descriptor_id, d.onion)),
+                    _ => {
+                        store.retire(d.descriptor_id);
+                        live.remove(&d.descriptor_id);
+                    }
+                }
             }
+            for &(d, op) in &descs {
+                match op {
+                    1 => {
+                        model.insert(d.descriptor_id, d);
+                        live.remove(&d.descriptor_id);
+                    }
+                    2 => {
+                        model.insert(d.descriptor_id, StoredDescriptor { published: latest, ..d });
+                        live.insert(d.descriptor_id);
+                    }
+                    _ => {}
+                }
+            }
+            store.apply_batch(&mut batch);
             store.expire(now);
             model.retain(|_, d| now.since(d.published) < crate::clock::DAY);
+            live.retain(|id| model.contains_key(id));
 
             prop_assert_eq!(store.len(), model.len());
             let mut expected: Vec<&StoredDescriptor> = model.values().collect();
@@ -346,7 +426,7 @@ proptest! {
                 prop_assert_eq!(got.onion, want.onion);
                 prop_assert_eq!(got.published, want.published);
             }
-            for d in &descs {
+            for (d, _) in &descs {
                 let id = d.descriptor_id;
                 prop_assert_eq!(store.contains(id), model.contains_key(&id));
                 prop_assert_eq!(
@@ -357,6 +437,110 @@ proptest! {
             let absent = DescriptorId::from_digest(Sha1::digest(b"never published"));
             prop_assert!(store.fetch(absent).is_none());
             now += advance * crate::clock::HOUR;
+        }
+    }
+
+    /// Differential test of incremental publication: after every step
+    /// of a random sequence — rounds, same-hour revotes, relays joining
+    /// the ring, services flipping, relays flipping reachability or
+    /// taking a new identity, fault plans swapping between publish
+    /// drops, relay crashes and none — every HSDir store
+    /// holds exactly what [`EagerPublisher`] holds, and the hot and
+    /// publish-drop counters match its accounting.
+    #[test]
+    fn incremental_publication_matches_eager_model(
+        steps in proptest::collection::vec((0u8..8, any::<u64>()), 1..24),
+    ) {
+        use crate::fault::FaultPlan;
+        use crate::relay::Operator;
+        use onion_crypto::identity::SimIdentity;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        // Established relays only: the ring changes when a step changes
+        // it, so most rounds can reuse placements.
+        let mut net = NetworkBuilder::new()
+            .relays(40)
+            .seed(5)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .established_fraction(1.0)
+            .build();
+        let mut services: Vec<(OnionAddress, bool)> = (0..8u8)
+            .map(|k| (OnionAddress::from_pubkey(&[k, 0x17]), k % 4 != 0))
+            .collect();
+        for &(onion, online) in &services {
+            net.register_service(onion, online);
+        }
+        let mut eager = EagerPublisher::default();
+        for (op, arg) in steps {
+            match op {
+                0 | 1 => {
+                    for _ in 0..1 + arg % 6 {
+                        net.advance_hours(1);
+                        eager.round(&net, &services);
+                    }
+                }
+                2 => {
+                    net.revote();
+                    eager.round(&net, &services);
+                }
+                3 => {
+                    // Backdated, so the relay joins the ring as an HSDir
+                    // at the next vote.
+                    let n = net.relays().len();
+                    let id = net.add_relay(
+                        format!("joiner{n}"),
+                        Ipv4::new(198, 18, (n / 250) as u8, (n % 250) as u8 + 1),
+                        9001,
+                        SimIdentity::generate(&mut StdRng::seed_from_u64(arg)),
+                        500,
+                        Operator::Honest,
+                    );
+                    net.relay_mut(id).last_restart = net.time() - 30 * HOUR;
+                }
+                4 | 5 => {
+                    let k = (arg % services.len() as u64) as usize;
+                    services[k].1 = !services[k].1;
+                    net.set_service_online(services[k].0, services[k].1);
+                }
+                6 => {
+                    let relay = net.relay_mut(RelayId((arg % 40) as usize));
+                    if arg & 64 == 0 {
+                        relay.reachable = !relay.reachable;
+                    } else {
+                        relay.rotate_identity(SimIdentity::generate(&mut StdRng::seed_from_u64(arg)));
+                    }
+                }
+                _ => {
+                    net.set_fault_plan(match arg % 3 {
+                        0 => FaultPlan {
+                            seed: arg,
+                            publish_drop_rate: 0.3,
+                            ..FaultPlan::none()
+                        },
+                        1 => FaultPlan {
+                            seed: arg,
+                            relay_crash_rate: 0.1,
+                            restart_after_hours: 1 + arg % 3,
+                            ..FaultPlan::none()
+                        },
+                        _ => FaultPlan::none(),
+                    });
+                    eager.publish_drops = 0;
+                }
+            }
+            for (i, want) in eager.stores.iter().enumerate() {
+                let got: Vec<(DescriptorId, OnionAddress, SimTime)> = net
+                    .store(RelayId(i))
+                    .iter()
+                    .map(|d| (d.descriptor_id, d.onion, d.published))
+                    .collect();
+                let want: Vec<(DescriptorId, OnionAddress, SimTime)> =
+                    want.iter().map(|(&id, &(onion, t))| (id, onion, t)).collect();
+                prop_assert_eq!(got, want, "store of relay {} after op {}", i, op);
+            }
+            prop_assert_eq!(net.hot_counters(), eager.hot);
+            prop_assert_eq!(net.fault_counters().publish_drops, eager.publish_drops);
         }
     }
 
