@@ -31,11 +31,12 @@ impl Profile {
         }
     }
 
-    /// Log-likelihood of `text` under this profile (Laplace-smoothed).
-    fn log_likelihood(&self, text: &str, vocab_size: f64) -> f64 {
+    /// Log-likelihood of a text's `trigrams` under this profile
+    /// (Laplace-smoothed).
+    fn log_likelihood(&self, trigrams: &[[char; 3]], vocab_size: f64) -> f64 {
         let mut ll = 0.0;
-        for tri in trigrams(text) {
-            let c = f64::from(*self.counts.get(&tri).unwrap_or(&0));
+        for tri in trigrams {
+            let c = f64::from(*self.counts.get(tri).unwrap_or(&0));
             ll += ((c + 1.0) / (self.total as f64 + vocab_size)).ln();
         }
         ll
@@ -118,11 +119,13 @@ impl LanguageDetector {
         best.0
     }
 
-    /// Log-likelihood scores per language (higher = more likely).
+    /// Log-likelihood scores per language (higher = more likely). The
+    /// text's trigrams are built once and scored against every profile.
     pub fn scores(&self, text: &str) -> Vec<(Language, f64)> {
+        let trigrams = trigrams(text);
         self.profiles
             .iter()
-            .map(|(lang, p)| (*lang, p.log_likelihood(text, self.vocab_size)))
+            .map(|(lang, p)| (*lang, p.log_likelihood(&trigrams, self.vocab_size)))
             .collect()
     }
 }
@@ -206,6 +209,41 @@ mod tests {
     fn scores_cover_all_languages() {
         let det = LanguageDetector::train_default();
         assert_eq!(det.scores("hello world").len(), Language::ALL.len());
+    }
+
+    /// Reference scores: each profile rebuilds the text's trigrams and
+    /// sums the same terms.
+    fn scores_per_profile(det: &LanguageDetector, text: &str) -> Vec<(Language, f64)> {
+        det.profiles
+            .iter()
+            .map(|(lang, p)| {
+                let mut ll = 0.0;
+                for tri in trigrams(text) {
+                    let c = f64::from(*p.counts.get(&tri).unwrap_or(&0));
+                    ll += ((c + 1.0) / (p.total as f64 + det.vocab_size)).ln();
+                }
+                (*lang, ll)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn shared_trigrams_score_bit_identically() {
+        let det = LanguageDetector::train_default();
+        let mut rng = StdRng::seed_from_u64(17);
+        for lang in Language::ALL {
+            for topic in [Topic::Drugs, Topic::Science] {
+                let page = sample_words(lang, topic, 80, &mut rng).join(" ");
+                let bits = |scores: Vec<(Language, f64)>| -> Vec<(Language, u64)> {
+                    scores.into_iter().map(|(l, s)| (l, s.to_bits())).collect()
+                };
+                assert_eq!(
+                    bits(det.scores(&page)),
+                    bits(scores_per_profile(&det, &page)),
+                    "{lang:?} page"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use onion_crypto::descriptor::{DescriptorId, Replica, TimePeriod};
+use onion_crypto::descriptor::{DaySecretParts, DescriptorId, TimePeriod};
 use onion_crypto::onion::OnionAddress;
 use tor_sim::clock::{SimTime, DAY};
 
@@ -63,21 +63,23 @@ pub struct Resolver {
 
 impl Resolver {
     /// Builds the forward table for `onions` over `[start, end]`
-    /// (inclusive, stepped daily; both replicas).
+    /// (inclusive, stepped daily; both replicas). Each day's secret-ID
+    /// parts are computed once and shared by every onion, so an entry
+    /// costs one SHA-1.
     pub fn build(onions: &[OnionAddress], start: SimTime, end: SimTime) -> Self {
         let mut table = HashMap::new();
-        for &onion in onions {
-            let id = onion.permanent_id();
-            let mut t = start;
-            // Step by day; the per-service stagger means consecutive
-            // days always hit consecutive periods.
-            while t <= end + DAY {
-                let period = TimePeriod::at(t.unix(), id);
-                for replica in Replica::ALL {
-                    table.insert(DescriptorId::compute(id, period, replica), onion);
+        let mut t = start;
+        // Step by day; the per-service stagger means consecutive days
+        // always hit consecutive periods.
+        while t <= end + DAY {
+            let parts = DaySecretParts::for_day_of(t.unix());
+            for &onion in onions {
+                let id = onion.permanent_id();
+                for desc_id in parts.pair(id, TimePeriod::at(t.unix(), id)) {
+                    table.insert(desc_id, onion);
                 }
-                t += DAY;
             }
+            t += DAY;
         }
         Resolver { table }
     }

@@ -96,23 +96,97 @@ impl fmt::Display for TimePeriod {
     }
 }
 
+/// The secret-ID part `SHA1(time-period | replica)` of a public
+/// service's descriptor ID. It does not depend on the service, so every
+/// service in the same period shares it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct SecretIdPart(Digest);
+
+impl SecretIdPart {
+    /// Computes `SHA1(time-period | replica)`: one SHA-1.
+    pub fn compute(period: TimePeriod, replica: Replica) -> Self {
+        let mut h = Sha1::new();
+        h.update((period.0 as u32).to_be_bytes());
+        h.update([replica.index()]);
+        SecretIdPart(h.finalize())
+    }
+
+    /// Both replicas' parts for `period`, in replica order: two SHA-1s.
+    pub fn pair(period: TimePeriod) -> [SecretIdPart; REPLICAS as usize] {
+        Replica::ALL.map(|r| SecretIdPart::compute(period, r))
+    }
+
+    /// The underlying digest.
+    pub fn digest(&self) -> Digest {
+        self.0
+    }
+}
+
+/// The secret-ID parts of the two periods a service can be in during
+/// one UTC day. A service's stagger offset is under a day, so at any
+/// time of day `d` its period is `d` or `d + 1` ([`TimePeriod::at`]).
+/// Holding both lets a caller derive any service's descriptor IDs for
+/// that day with one SHA-1 per replica instead of two.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DaySecretParts {
+    day: u64,
+    parts: [[SecretIdPart; REPLICAS as usize]; 2],
+}
+
+impl DaySecretParts {
+    /// SHA-1 finalisations [`DaySecretParts::for_day_of`] performs.
+    pub const DIGESTS: u64 = 2 * REPLICAS as u64;
+
+    /// The parts of the day containing `now_unix`.
+    pub fn for_day_of(now_unix: u64) -> Self {
+        let day = now_unix / TIME_PERIOD_SECS;
+        DaySecretParts {
+            day,
+            parts: [
+                SecretIdPart::pair(TimePeriod(day)),
+                SecretIdPart::pair(TimePeriod(day + 1)),
+            ],
+        }
+    }
+
+    /// Whether `now_unix` falls on the day these parts were built for.
+    pub fn covers(&self, now_unix: u64) -> bool {
+        now_unix / TIME_PERIOD_SECS == self.day
+    }
+
+    /// Both replicas' descriptor IDs of `id` in `period`: two SHA-1s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is neither of the day's two periods.
+    pub fn pair(&self, id: PermanentId, period: TimePeriod) -> [DescriptorId; REPLICAS as usize] {
+        let slot = period
+            .0
+            .checked_sub(self.day)
+            .filter(|&k| k < 2)
+            .expect("period lies on the parts' day");
+        self.parts[slot as usize].map(|part| DescriptorId::from_secret_id_part(id, part))
+    }
+}
+
 /// A v2 descriptor identifier: the ring position a descriptor is stored
 /// at for one (service, period, replica) triple.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DescriptorId(Digest);
 
 impl DescriptorId {
-    /// Computes `SHA1(permanent-id | SHA1(time-period | replica))`.
+    /// Computes `SHA1(permanent-id | SHA1(time-period | replica))`: two
+    /// SHA-1s.
     pub fn compute(id: PermanentId, period: TimePeriod, replica: Replica) -> Self {
-        let mut inner = Sha1::new();
-        inner.update((period.0 as u32).to_be_bytes());
-        inner.update([replica.index()]);
-        let secret_id_part = inner.finalize();
+        DescriptorId::from_secret_id_part(id, SecretIdPart::compute(period, replica))
+    }
 
-        let mut outer = Sha1::new();
-        outer.update(id.as_bytes());
-        outer.update(secret_id_part.as_bytes());
-        DescriptorId(outer.finalize())
+    /// Computes `SHA1(permanent-id | secret-id-part)`: one SHA-1.
+    pub fn from_secret_id_part(id: PermanentId, part: SecretIdPart) -> Self {
+        let mut h = Sha1::new();
+        h.update(id.as_bytes());
+        h.update(part.0.as_bytes());
+        DescriptorId(h.finalize())
     }
 
     /// Computes both replicas' descriptor IDs for a service at `now`.
@@ -246,6 +320,63 @@ mod tests {
         let a = DescriptorId::pair_at(onion(b"one"), t);
         let b = DescriptorId::pair_at(onion(b"two"), t);
         assert_ne!(a[0], b[0]);
+    }
+
+    #[test]
+    fn descriptor_ids_match_known_answers() {
+        // Values computed independently with Python's hashlib:
+        // SHA1(SHA1("svc")[..10] | SHA1(be32(15742) | replica)).
+        let id = onion(b"svc").permanent_id();
+        let period = TimePeriod(15_742);
+        let parts = SecretIdPart::pair(period);
+        assert_eq!(
+            parts.map(|p| p.digest().to_hex()),
+            [
+                "1d39138e88611be6701970fae8f4ed10126899e8",
+                "4a795220af856eafc5fab8786cb2e5975dd53299",
+            ]
+        );
+        let want = [
+            "dfb92d354259deea86a27b5fbac5c021bb4059a8",
+            "7b9fc1d5c93acdd850de436f8715d0ab51993602",
+        ];
+        for r in Replica::ALL {
+            let i = usize::from(r.index());
+            assert_eq!(
+                DescriptorId::compute(id, period, r).digest().to_hex(),
+                want[i]
+            );
+            assert_eq!(
+                DescriptorId::from_secret_id_part(id, parts[i])
+                    .digest()
+                    .to_hex(),
+                want[i]
+            );
+        }
+    }
+
+    #[test]
+    fn day_parts_derive_pair_at_for_every_stagger() {
+        let t0 = 1_360_000_000u64;
+        let day = DaySecretParts::for_day_of(t0);
+        let last = (t0 / TIME_PERIOD_SECS + 1) * TIME_PERIOD_SECS - 1;
+        assert!(day.covers(t0) && day.covers(last) && !day.covers(last + 1));
+        for byte0 in 0..=255u8 {
+            let id = PermanentId::from_bytes([byte0, 3, 1, 4, 1, 5, 9, 2, 6, 5]);
+            let onion = id.to_onion();
+            for t in [t0 - t0 % TIME_PERIOD_SECS, t0, last] {
+                let period = TimePeriod::at(t, id);
+                assert_eq!(day.pair(id, period), DescriptorId::pair_at(onion, t));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "period lies on the parts' day")]
+    fn day_parts_reject_other_days() {
+        let day = DaySecretParts::for_day_of(1_360_000_000);
+        let id = onion(b"svc").permanent_id();
+        let _ = day.pair(id, TimePeriod(1_360_000_000 / TIME_PERIOD_SECS + 2));
     }
 
     #[test]

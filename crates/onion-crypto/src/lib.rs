@@ -50,7 +50,7 @@ pub mod onion;
 pub mod sha1;
 pub mod u160;
 
-pub use descriptor::{DescriptorId, Replica, TimePeriod};
+pub use descriptor::{DaySecretParts, DescriptorId, Replica, SecretIdPart, TimePeriod};
 pub use identity::{Fingerprint, SimIdentity};
 pub use onion::{OnionAddress, PermanentId};
 pub use sha1::{Digest, Sha1};

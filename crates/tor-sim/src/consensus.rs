@@ -95,6 +95,9 @@ pub struct Consensus {
     /// Indices (into `entries`) of relays with the HSDir flag, in
     /// fingerprint order — the hidden-service directory ring.
     hsdir_ring: Vec<usize>,
+    /// Bit `r % 64` of word `r / 64` set: relay `RelayId(r)` is listed
+    /// with the Guard flag. Sized by the largest listed guard's index.
+    guard_bits: Vec<u64>,
 }
 
 impl Consensus {
@@ -107,10 +110,22 @@ impl Consensus {
             .filter(|(_, e)| e.flags.contains(RelayFlags::HSDIR))
             .map(|(i, _)| i)
             .collect();
+        let mut guard_bits = Vec::new();
+        for e in entries
+            .iter()
+            .filter(|e| e.flags.contains(RelayFlags::GUARD))
+        {
+            let word = e.relay.0 / 64;
+            if guard_bits.len() <= word {
+                guard_bits.resize(word + 1, 0u64);
+            }
+            guard_bits[word] |= 1 << (e.relay.0 % 64);
+        }
         Consensus {
             valid_after,
             entries,
             hsdir_ring,
+            guard_bits,
         }
     }
 
@@ -253,6 +268,14 @@ impl Consensus {
         self.entries
             .iter()
             .filter(|e| e.flags.contains(RelayFlags::GUARD))
+    }
+
+    /// Whether `relay` is listed with the Guard flag, in O(1): the same
+    /// answer as `self.guards().any(|e| e.relay == relay)`.
+    pub fn is_listed_guard(&self, relay: RelayId) -> bool {
+        self.guard_bits
+            .get(relay.0 / 64)
+            .is_some_and(|word| word >> (relay.0 % 64) & 1 == 1)
     }
 
     /// Total bandwidth of all Guard-flagged entries.
@@ -416,6 +439,29 @@ mod tests {
             kept > 100,
             "most responsible sets survive two moves: {kept}"
         );
+    }
+
+    #[test]
+    fn guard_index_matches_a_scan_of_the_entries() {
+        let full = tiny_consensus(150);
+        let mut entries = full.entries().to_vec();
+        // Strip the flag from every third guard, and give relay 149
+        // (the last word's high bits) a listing of its own.
+        for e in entries.iter_mut().filter(|e| e.relay.0 % 3 == 0) {
+            e.flags.remove(RelayFlags::GUARD);
+        }
+        for e in entries.iter_mut().filter(|e| e.relay.0 == 149) {
+            e.flags.insert(RelayFlags::GUARD);
+        }
+        for c in [full, Consensus::new(SimTime::EPOCH, entries)] {
+            assert!(c.guards().count() > 10);
+            for r in (0..c.len() + 130).map(RelayId) {
+                let scanned = c.guards().any(|e| e.relay == r);
+                assert_eq!(c.is_listed_guard(r), scanned, "relay {}", r.0);
+            }
+            assert!(!c.is_listed_guard(RelayId(usize::MAX)));
+        }
+        assert!(!Consensus::new(SimTime::EPOCH, Vec::new()).is_listed_guard(RelayId(0)));
     }
 
     #[test]

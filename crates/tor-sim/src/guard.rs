@@ -66,7 +66,7 @@ impl GuardSet {
         let usable = |guards: &[GuardEntry]| {
             guards
                 .iter()
-                .filter(|g| relay_is_listed_guard(consensus, g.relay))
+                .filter(|g| consensus.is_listed_guard(g.relay))
                 .count()
         };
 
@@ -96,24 +96,20 @@ impl GuardSet {
 
     /// Picks the guard for a new circuit: uniform among the usable
     /// members of the set, per the paper's model ("one node from the set
-    /// of Guard nodes is used for the first hop").
+    /// of Guard nodes is used for the first hop"). Allocation-free, and
+    /// O(set size) through the consensus's guard index.
     pub fn pick(&self, consensus: &Consensus, rng: &mut impl Rng) -> Option<RelayId> {
-        let usable: Vec<RelayId> = self
+        let mut usable = self
             .guards
             .iter()
             .map(|g| g.relay)
-            .filter(|&r| relay_is_listed_guard(consensus, r))
-            .collect();
-        if usable.is_empty() {
-            None
-        } else {
-            Some(usable[rng.random_range(0..usable.len())])
+            .filter(|&r| consensus.is_listed_guard(r));
+        let count = usable.clone().count();
+        if count == 0 {
+            return None;
         }
+        usable.nth(rng.random_range(0..count))
     }
-}
-
-fn relay_is_listed_guard(consensus: &Consensus, relay: RelayId) -> bool {
-    consensus.guards().any(|e| e.relay == relay)
 }
 
 /// Samples an index from `(item, weight)` pairs proportionally to
@@ -136,9 +132,121 @@ pub fn sample_weighted_index<T>(items: &[(T, u64)], rng: &mut impl Rng) -> Optio
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::consensus::ConsensusEntry;
+    use crate::flags::RelayFlags;
     use crate::test_support::tiny_consensus;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Reference guard check: a linear scan of the consensus's guards.
+    fn listed_by_scan(consensus: &Consensus, relay: RelayId) -> bool {
+        consensus.guards().any(|e| e.relay == relay)
+    }
+
+    /// Reference [`GuardSet::pick`] on the linear scan.
+    fn pick_by_scan(set: &GuardSet, consensus: &Consensus, rng: &mut impl Rng) -> Option<RelayId> {
+        let usable: Vec<RelayId> = set
+            .guards
+            .iter()
+            .map(|g| g.relay)
+            .filter(|&r| listed_by_scan(consensus, r))
+            .collect();
+        if usable.is_empty() {
+            None
+        } else {
+            Some(usable[rng.random_range(0..usable.len())])
+        }
+    }
+
+    /// Reference [`GuardSet::maintain`] on the linear scan.
+    fn maintain_by_scan(
+        set: &mut GuardSet,
+        consensus: &Consensus,
+        now: SimTime,
+        rng: &mut impl Rng,
+    ) {
+        set.guards.retain(|g| g.expires > now);
+        let usable = |guards: &[GuardEntry]| {
+            guards
+                .iter()
+                .filter(|g| listed_by_scan(consensus, g.relay))
+                .count()
+        };
+        if usable(&set.guards) >= 2 && !set.guards.is_empty() {
+            return;
+        }
+        let mut candidates: Vec<(RelayId, u64)> = consensus
+            .guards()
+            .filter(|e| !set.contains(e.relay))
+            .map(|e| (e.relay, e.bandwidth))
+            .collect();
+        while usable(&set.guards) < GUARD_SET_SIZE {
+            let Some(idx) = sample_weighted_index(&candidates, rng) else {
+                break;
+            };
+            let (relay, _) = candidates.swap_remove(idx);
+            let lifetime_days = rng.random_range(GUARD_LIFETIME_MIN_DAYS..=GUARD_LIFETIME_MAX_DAYS);
+            set.guards.push(GuardEntry {
+                relay,
+                expires: now + lifetime_days * DAY,
+            });
+        }
+    }
+
+    fn listing(set: &GuardSet) -> Vec<(RelayId, SimTime)> {
+        set.entries().iter().map(|g| (g.relay, g.expires)).collect()
+    }
+
+    proptest! {
+        /// Through consensuses in which guards lose and regain the flag
+        /// (and non-guards gain it), the indexed `maintain` and `pick`
+        /// keep the same sets, return the same relays and leave the RNG
+        /// where the linear scans left it.
+        #[test]
+        fn indexed_guard_checks_match_the_linear_scan(
+            seed in any::<u64>(),
+            steps in proptest::collection::vec(
+                (any::<u64>(), any::<u64>(), 0u64..40, 0usize..6),
+                1..16,
+            ),
+        ) {
+            let base = tiny_consensus(48);
+            let mut now = base.valid_after();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut reference_rng = rng.clone();
+            let mut set = GuardSet::new();
+            let mut reference = GuardSet::new();
+            for (lose_a, lose_b, days, picks) in steps {
+                let lose = lose_a & lose_b;
+                let entries: Vec<ConsensusEntry> = base
+                    .entries()
+                    .iter()
+                    .cloned()
+                    .map(|mut e| {
+                        if lose >> e.relay.0 & 1 == 1 {
+                            e.flags.remove(RelayFlags::GUARD);
+                        } else if lose_a >> 63 == 1 && e.relay.0 % 7 == 0 {
+                            e.flags.insert(RelayFlags::GUARD);
+                        }
+                        e
+                    })
+                    .collect();
+                now += days * DAY;
+                let c = Consensus::new(now, entries);
+                set.maintain(&c, now, &mut rng);
+                maintain_by_scan(&mut reference, &c, now, &mut reference_rng);
+                prop_assert_eq!(listing(&set), listing(&reference));
+                for _ in 0..picks {
+                    prop_assert_eq!(
+                        set.pick(&c, &mut rng),
+                        pick_by_scan(&reference, &c, &mut reference_rng)
+                    );
+                }
+                prop_assert_eq!(rng.random::<u64>(), reference_rng.random::<u64>());
+            }
+        }
+    }
 
     #[test]
     fn maintains_three_guards() {
@@ -150,7 +258,7 @@ mod tests {
         assert_eq!(set.entries().len(), GUARD_SET_SIZE);
         // All picked relays carry the Guard flag.
         for g in set.entries() {
-            assert!(relay_is_listed_guard(&c, g.relay));
+            assert!(c.is_listed_guard(g.relay));
         }
     }
 

@@ -285,11 +285,20 @@ impl ServiceTable {
 
     /// Registered services as records, in stable `ServiceId` order.
     pub fn records(&self) -> impl Iterator<Item = ServiceRecord> + '_ {
+        self.registered().map(|(_, record)| record)
+    }
+
+    /// Registered services with their rows, in `ServiceId` order;
+    /// phantom rows are skipped.
+    pub fn registered(&self) -> impl Iterator<Item = (ServiceId, ServiceRecord)> + '_ {
         self.interner
             .onions
             .iter()
             .zip(&self.online)
-            .filter_map(|(&onion, online)| online.map(|online| ServiceRecord { onion, online }))
+            .enumerate()
+            .filter_map(|(row, (&onion, online))| {
+                online.map(|online| (ServiceId(row as u32), ServiceRecord { onion, online }))
+            })
     }
 
     /// The cached descriptor-ID pair of a row, if any.

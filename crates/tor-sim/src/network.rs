@@ -12,9 +12,11 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
-use onion_crypto::descriptor::{DescriptorId, Replica, TimePeriod, HSDIRS_PER_REPLICA, REPLICAS};
+use onion_crypto::descriptor::{
+    DaySecretParts, DescriptorId, Replica, TimePeriod, HSDIRS_PER_REPLICA, REPLICAS,
+};
 use onion_crypto::identity::SimIdentity;
-use onion_crypto::onion::OnionAddress;
+use onion_crypto::onion::{OnionAddress, PermanentId};
 
 use crate::authority::Authority;
 use crate::cells::TrafficSignature;
@@ -99,11 +101,12 @@ pub struct FetchAttempts {
 ///
 /// Measurement waves share `&Network` across worker threads; everything
 /// a unit would have written through `&mut self` on the sequential path
-/// — hot-path counters, fault counters, per-relay query load, request
-/// logs, guard observations — lands here instead and is folded back in
-/// canonical input order by [`Network::apply_wave_effects`]. Log and
-/// observation order is preserved within a unit, so the merged feeds
-/// are identical to running the units one after another.
+/// — hot-path counters, derived descriptor-ID pairs, fault counters,
+/// per-relay query load, request logs, guard observations — lands here
+/// instead and is folded back in canonical input order by
+/// [`Network::apply_wave_effects`]. Log and observation order is
+/// preserved within a unit, so the merged feeds are identical to
+/// running the units one after another.
 #[derive(Clone, Debug, Default)]
 pub struct WaveEffects {
     /// Stable per-unit key: fault drop rolls derive their serial
@@ -111,6 +114,10 @@ pub struct WaveEffects {
     unit_key: u64,
     /// Hot-path work the unit performed.
     hot: HotPathCounters,
+    /// Descriptor-ID pairs the unit derived on cache misses, in miss
+    /// order. They answer the unit's later lookups, and
+    /// [`Network::apply_wave_effects`] writes them into the cache.
+    derived: Vec<(OnionAddress, DescPair)>,
     /// Queries dropped by the per-query drop rate.
     fetch_drops: u64,
     /// Queries dropped as overload against the wave-start snapshot.
@@ -163,12 +170,16 @@ pub fn onion_unit_key(onion: OnionAddress) -> u64 {
 /// when wall-clock noise hides it.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct HotPathCounters {
-    /// SHA-1 finalisations performed for descriptor-ID computation
-    /// (each `DescriptorId::compute` costs two).
+    /// SHA-1 finalisations performed for descriptor-ID derivation: two
+    /// per cache miss (one per replica, on the day's shared secret-ID
+    /// parts), four each time a day's parts are computed, and four per
+    /// lookup with the cache disabled.
     pub sha1_digests: u64,
-    /// Descriptor-ID pair lookups answered from the per-period cache.
+    /// Descriptor-ID pair lookups answered from the per-period cache
+    /// (or, in a wave unit, from a pair the unit derived earlier).
     pub desc_cache_hits: u64,
-    /// Lookups that had to recompute (first sight or period rotation).
+    /// Lookups that had to derive their pair (first sight or period
+    /// rotation): one per derived pair.
     pub desc_cache_misses: u64,
     /// Client descriptor fetches attempted (per descriptor ID).
     pub fetches: u64,
@@ -268,6 +279,10 @@ pub struct Network {
     /// Test hook: `false` forces the uncached reference path so the
     /// cache can be validated against first-principles recomputation.
     desc_cache_enabled: bool,
+    /// The secret-ID parts of the two periods a service can be in
+    /// today, shared by every cache miss. Kept current by every
+    /// consensus round while the cache is enabled.
+    day_parts: DaySecretParts,
     /// Deterministic fault injection (inert by default).
     faults: FaultState,
     /// Optional per-round trace recorder (disabled by default; purely
@@ -442,6 +457,7 @@ impl Network {
     /// store maintenance (DESIGN.md, "Consensus rounds run inline").
     fn step(&mut self) {
         self.svc.flush();
+        self.refresh_day_parts();
         if !self.faults.is_inert() {
             // Relay-level faults apply before the vote so the consensus
             // reflects this round's crashes and restarts.
@@ -456,6 +472,17 @@ impl Network {
         self.publish_descriptors();
         self.refresh_signature_index();
         self.record_round();
+    }
+
+    /// Recomputes the day's secret-ID parts once the clock has left the
+    /// day they were built for. Only the cached path uses them; the
+    /// reference path derives every pair from scratch.
+    fn refresh_day_parts(&mut self) {
+        let now = self.time.unix();
+        if self.desc_cache_enabled && !self.day_parts.covers(now) {
+            self.day_parts = DaySecretParts::for_day_of(now);
+            self.hot.sha1_digests += DaySecretParts::DIGESTS;
+        }
     }
 
     /// Appends a [`RoundTrace`] covering everything since the previous
@@ -506,6 +533,7 @@ impl Network {
             stores,
             new_uploads,
             desc_cache_enabled,
+            day_parts,
             ring_generation,
             ring_change,
             ..
@@ -513,19 +541,25 @@ impl Network {
         if new_uploads.len() < relays.len() {
             new_uploads.resize_with(relays.len(), Vec::new);
         }
+        let parts = desc_cache_enabled.then_some(&*day_parts);
         for row in 0..svc.len() {
             let sid = ServiceId(row as u32);
-            if svc.is_online(sid) != Some(true) {
-                // Retirement stamps the previous round's time, so it
-                // runs before the stores are stamped with this one.
-                if let Some(old) = svc.replace_placement(sid, None) {
-                    for (relay, id) in old.uploads() {
-                        stores[relay].retire(id);
+            match svc.is_online(sid) {
+                Some(true) => {}
+                Some(false) => {
+                    // Retirement stamps the previous round's time, so it
+                    // runs before the stores are stamped with this one.
+                    if let Some(old) = svc.replace_placement(sid, None) {
+                        for (relay, id) in old.uploads() {
+                            stores[relay].retire(id);
+                        }
                     }
+                    continue;
                 }
-                continue;
+                // A phantom row never publishes, so it has no placement.
+                None => continue,
             }
-            let (period, ids) = pair_for(svc, hot, *desc_cache_enabled, sid, time.unix());
+            let (period, ids) = pair_for(svc, hot, parts, sid, time.unix());
             let placement = match svc.placement(sid) {
                 Some(p)
                     if p.reusable
@@ -623,18 +657,12 @@ impl Network {
     }
 
     /// The service's current descriptor-ID pair, answered from the
-    /// per-period cache and recomputed only when the service's staggered
+    /// per-period cache and derived only when the service's staggered
     /// 24 h period rotates.
     pub fn cached_pair(&mut self, onion: OnionAddress) -> [DescriptorId; REPLICAS as usize] {
         let sid = self.svc.intern(onion);
-        pair_for(
-            &mut self.svc,
-            &mut self.hot,
-            self.desc_cache_enabled,
-            sid,
-            self.time.unix(),
-        )
-        .1
+        let parts = self.desc_cache_enabled.then_some(&self.day_parts);
+        pair_for(&mut self.svc, &mut self.hot, parts, sid, self.time.unix()).1
     }
 
     /// Cumulative hot-path work counters.
@@ -696,8 +724,7 @@ impl Network {
             h = fold8(h, e.fingerprint.digest().as_bytes());
             h = fold(h, e.bandwidth);
         }
-        for (i, rec) in self.svc.records().enumerate() {
-            let sid = ServiceId(i as u32);
+        for (sid, rec) in self.svc.registered() {
             h = fold8(h, rec.onion.permanent_id().as_bytes());
             h = fold(h, u64::from(rec.online));
             h = fold(h, self.svc.slot_hours(sid));
@@ -786,12 +813,15 @@ impl Network {
     }
 
     /// Disables (or re-enables) the descriptor-ID cache, forcing the
-    /// uncached reference path: `pair_at` recomputation per lookup and a
-    /// linear scan in `signature_for`. Exists so tests can check the
-    /// cached fast path against first-principles recomputation.
+    /// uncached reference path: every lookup derives its pair from
+    /// scratch (four SHA-1s, no day parts), nothing is cached or written
+    /// back from waves, and `signature_for` scans linearly. Exists so
+    /// tests can check the cached fast path against first-principles
+    /// recomputation.
     pub fn set_desc_cache_enabled(&mut self, enabled: bool) {
         self.desc_cache_enabled = enabled;
         self.svc.clear_runtime_caches();
+        self.refresh_day_parts();
         if enabled {
             let targets: Vec<ServiceId> = self.svc.armed_ids().collect();
             for sid in targets {
@@ -1056,9 +1086,10 @@ impl Network {
     }
 
     /// Read-only variant of [`Network::client_fetch`]: the replica swap
-    /// draws from the unit `rng`, and a descriptor-ID pair not answered
-    /// by the cache is recomputed locally without populating it (the
-    /// SHA-1 work and the miss are still counted in `fx`).
+    /// draws from the unit `rng`, and a descriptor-ID pair the cache
+    /// does not hold is derived once per unit and kept in `fx`, so the
+    /// unit's later fetches of the same onion hit and the cache holds
+    /// it after [`Network::apply_wave_effects`].
     pub fn client_fetch_readonly(
         &self,
         client: ClientId,
@@ -1110,10 +1141,14 @@ impl Network {
         }
     }
 
-    /// Read-only descriptor-ID pair lookup: cache hits are served and
-    /// counted; misses recompute locally *without* inserting (dead and
-    /// phantom services would otherwise mutate the cache mid-wave), so
-    /// the miss accounting matches the sequential publish-warmed path.
+    /// Read-only descriptor-ID pair lookup. The cache column and the
+    /// pairs the unit already derived both answer as hits. A miss
+    /// derives the pair from the day's secret-ID parts and keeps it in
+    /// `fx.derived`; the cache itself is written only by
+    /// [`Network::apply_wave_effects`], in canonical order, so what a
+    /// unit sees never depends on the other units of its wave. With the
+    /// cache disabled every lookup derives from scratch and keeps
+    /// nothing.
     fn pair_readonly(
         &self,
         onion: OnionAddress,
@@ -1121,26 +1156,40 @@ impl Network {
     ) -> [DescriptorId; REPLICAS as usize] {
         let perm = onion.permanent_id();
         let period = TimePeriod::at(self.time.unix(), perm);
-        if self.desc_cache_enabled {
-            if let Some((cached_period, ids)) =
-                self.svc.get(onion).and_then(|sid| self.svc.cache(sid))
-            {
-                if cached_period == period {
-                    fx.hot.desc_cache_hits += 1;
-                    return ids;
-                }
-            }
-            fx.hot.desc_cache_misses += 1;
+        if !self.desc_cache_enabled {
+            return derive_uncached(&mut fx.hot, perm, period);
         }
-        fx.hot.sha1_digests += 2 * u64::from(REPLICAS);
-        Replica::ALL.map(|r| DescriptorId::compute(perm, period, r))
+        let hit = self
+            .svc
+            .get(onion)
+            .and_then(|sid| self.svc.cache(sid))
+            .filter(|&(cached, _)| cached == period)
+            .or_else(|| {
+                fx.derived
+                    .iter()
+                    .find(|&&(o, (kept, _))| o == onion && kept == period)
+                    .map(|&(_, pair)| pair)
+            });
+        if let Some((_, ids)) = hit {
+            fx.hot.desc_cache_hits += 1;
+            return ids;
+        }
+        let ids = derive_pair(&mut fx.hot, &self.day_parts, perm, period);
+        fx.derived.push((onion, (period, ids)));
+        ids
     }
 
     /// Folds one wave unit's accumulated side effects back into the
     /// network. Call once per unit, in canonical input order, after the
     /// wave completes — the result is then identical to having run the
-    /// units sequentially.
+    /// units sequentially. The unit's derived descriptor-ID pairs go
+    /// into the cache (phantom onions intern as phantom rows), so later
+    /// lookups on this network hit.
     pub fn apply_wave_effects(&mut self, fx: WaveEffects) {
+        for (onion, pair) in fx.derived {
+            let sid = self.svc.intern(onion);
+            self.svc.set_cache(sid, pair);
+        }
         self.hot.sha1_digests += fx.hot.sha1_digests;
         self.hot.desc_cache_hits += fx.hot.desc_cache_hits;
         self.hot.desc_cache_misses += fx.hot.desc_cache_misses;
@@ -1218,35 +1267,54 @@ impl Network {
 }
 
 /// Descriptor-ID pair lookup against the per-period cache column, free
-/// of `&mut Network` so callers can run it under a split borrow. With
-/// the cache disabled it recomputes every time (the test reference
-/// path) while still counting the SHA-1 work. Returns the pair with
-/// the period it belongs to.
+/// of `&mut Network` so callers can run it under a split borrow. A miss
+/// derives the pair from the day's secret-ID `parts` and caches it.
+/// With the cache disabled (`parts` is `None`) it derives every pair
+/// from scratch and caches nothing: the test reference path. Returns
+/// the pair with the period it belongs to.
 fn pair_for(
     svc: &mut ServiceTable,
     hot: &mut HotPathCounters,
-    cache_enabled: bool,
+    parts: Option<&DaySecretParts>,
     sid: ServiceId,
     now_unix: u64,
 ) -> DescPair {
     let perm = svc.onion(sid).permanent_id();
     let period = TimePeriod::at(now_unix, perm);
-    if cache_enabled {
-        if let Some((cached_period, ids)) = svc.cache(sid) {
-            if cached_period == period {
-                hot.desc_cache_hits += 1;
-                return (period, ids);
-            }
-        }
-        hot.desc_cache_misses += 1;
+    let Some(parts) = parts else {
+        return (period, derive_uncached(hot, perm, period));
+    };
+    if let Some(pair) = svc.cache(sid).filter(|&(cached, _)| cached == period) {
+        hot.desc_cache_hits += 1;
+        return pair;
     }
-    // Each DescriptorId::compute finalises two SHA-1s.
+    let pair = (period, derive_pair(hot, parts, perm, period));
+    svc.set_cache(sid, pair);
+    pair
+}
+
+/// A cache miss: derives `perm`'s pair for `period` from the day's
+/// secret-ID parts, one SHA-1 per replica.
+fn derive_pair(
+    hot: &mut HotPathCounters,
+    parts: &DaySecretParts,
+    perm: PermanentId,
+    period: TimePeriod,
+) -> [DescriptorId; REPLICAS as usize] {
+    hot.desc_cache_misses += 1;
+    hot.sha1_digests += u64::from(REPLICAS);
+    parts.pair(perm, period)
+}
+
+/// The reference derivation with the cache disabled: both SHA-1s of
+/// every replica, nothing shared.
+fn derive_uncached(
+    hot: &mut HotPathCounters,
+    perm: PermanentId,
+    period: TimePeriod,
+) -> [DescriptorId; REPLICAS as usize] {
     hot.sha1_digests += 2 * u64::from(REPLICAS);
-    let ids = Replica::ALL.map(|r| DescriptorId::compute(perm, period, r));
-    if cache_enabled {
-        svc.set_cache(sid, (period, ids));
-    }
-    (period, ids)
+    Replica::ALL.map(|r| DescriptorId::compute(perm, period, r))
 }
 
 /// Whether `p`'s slots are still the responsible HSDirs in ring
@@ -1459,8 +1527,12 @@ impl NetworkBuilder {
             clients: Vec::new(),
             guard_observations: Vec::new(),
             coverage_recorded_hour: None,
-            hot: HotPathCounters::default(),
+            hot: HotPathCounters {
+                sha1_digests: DaySecretParts::DIGESTS,
+                ..HotPathCounters::default()
+            },
             desc_cache_enabled: true,
+            day_parts: DaySecretParts::for_day_of(self.start.unix()),
             faults: FaultState::new(self.faults),
             round_trace: None,
             ring_generation: 0,
@@ -1597,7 +1669,13 @@ mod tests {
         let hot = net.hot_counters();
         assert!(hot.desc_cache_misses >= 2, "{hot:?}");
         assert!(hot.desc_cache_hits > hot.desc_cache_misses, "{hot:?}");
-        assert_eq!(hot.sha1_digests, 4 * hot.desc_cache_misses, "{hot:?}");
+        // Two SHA-1s per derived pair, plus the secret-ID parts of the
+        // start day (at build) and of the one day boundary crossed.
+        assert_eq!(
+            hot.sha1_digests,
+            2 * hot.desc_cache_misses + 2 * DaySecretParts::DIGESTS,
+            "{hot:?}"
+        );
         // And the descriptor is still fetchable after rotation.
         let client = net.add_client(Ipv4::new(9, 9, 9, 9));
         assert_eq!(net.client_fetch(client, onion), FetchOutcome::Found);
@@ -1780,16 +1858,19 @@ mod tests {
             desc_cache_misses,
             fetches: 0,
         };
+        // The build's day parts, then two SHA-1s per derived pair.
         net.advance_hours(1);
-        assert_eq!(net.hot_counters(), counts(40, 0, 10));
+        assert_eq!(net.hot_counters(), counts(4 + 20, 0, 10));
+        // The reference path: four SHA-1s per lookup, nothing cached.
         net.set_desc_cache_enabled(false);
         let before = net.hot_counters();
         net.advance_hours(2);
         assert_eq!(net.hot_counters().since(before), counts(80, 0, 0));
+        // Still the same day, so re-enabling reuses its parts.
         net.set_desc_cache_enabled(true);
         let before = net.hot_counters();
         net.advance_hours(1);
-        assert_eq!(net.hot_counters().since(before), counts(40, 0, 10));
+        assert_eq!(net.hot_counters().since(before), counts(20, 0, 10));
         let before = net.hot_counters();
         net.advance_hours(1);
         assert_eq!(
@@ -1860,7 +1941,11 @@ mod tests {
         let h1 = net.hot_counters();
         assert_eq!(h1.desc_cache_misses, 10, "{h1:?}");
         assert_eq!(h1.desc_cache_hits, 0, "{h1:?}");
-        assert_eq!(h1.sha1_digests, 40, "two SHA-1s x two replicas x ten");
+        assert_eq!(
+            h1.sha1_digests,
+            DaySecretParts::DIGESTS + 20,
+            "the day's secret-ID parts, then one SHA-1 x two replicas x ten"
+        );
         let t1 = net.time().unix();
         net.advance_hours(1);
         let t2 = net.time().unix();
@@ -1874,7 +1959,7 @@ mod tests {
         let h2 = net.hot_counters().since(h1);
         assert_eq!(h2.desc_cache_misses, rotated, "{h2:?}");
         assert_eq!(h2.desc_cache_hits, 10 - rotated, "{h2:?}");
-        assert_eq!(h2.sha1_digests, 4 * rotated, "{h2:?}");
+        assert_eq!(h2.sha1_digests, 2 * rotated, "same day, same parts: {h2:?}");
     }
 
     #[test]
@@ -2329,14 +2414,130 @@ mod tests {
         net.apply_wave_effects(fx2);
         let d = net.hot_counters().since(hot0);
         assert_eq!(d.desc_cache_hits, 1, "published pair answered by cache");
-        assert_eq!(d.desc_cache_misses, 1, "phantom pair computed locally");
-        assert_eq!(d.sha1_digests, 4, "only the phantom pays SHA-1 work");
+        assert_eq!(d.desc_cache_misses, 1, "phantom pair derived in the unit");
+        assert_eq!(
+            d.sha1_digests, 2,
+            "only the phantom pays SHA-1 work, one per replica"
+        );
         // The phantom alone probes both replicas' three slots; every
         // relay logs, so at least those six records land on apply.
         let logged: usize = (0..net.relays().len())
             .map(|i| net.request_log(RelayId(i)).len())
             .sum();
         assert!(logged >= 6, "logged {logged}");
+    }
+
+    /// Every logged request of every relay, in log order.
+    fn all_logs(net: &Network) -> Vec<(usize, SimTime, DescriptorId, bool)> {
+        (0..net.relays().len())
+            .flat_map(|i| {
+                net.request_log(RelayId(i))
+                    .records()
+                    .iter()
+                    .map(move |r| (i, r.time, r.descriptor_id, r.found))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn wave_unit_keeps_its_derived_pair_and_writes_it_back() {
+        let phantom = OnionAddress::from_pubkey(b"phantom fetched twice");
+        // Two waves of one unit each, fetching the phantom twice.
+        let run = |cached: bool| {
+            let mut net = small_net();
+            net.set_desc_cache_enabled(cached);
+            net.advance_hours(1);
+            for i in 0..net.relays().len() {
+                net.relay_mut(RelayId(i)).logging = true;
+            }
+            let client = net.add_client(Ipv4::new(10, 0, 0, 3));
+            let mut waves = Vec::new();
+            for wave in 0..2u64 {
+                net.prepare_wave();
+                let before = net.hot_counters();
+                let mut rng = StdRng::seed_from_u64(wave);
+                let mut fx = WaveEffects::new(wave);
+                for _ in 0..2 {
+                    let outcome = net.client_fetch_readonly(client, phantom, &mut rng, &mut fx);
+                    assert_eq!(outcome, FetchOutcome::NotFound);
+                }
+                net.apply_wave_effects(fx);
+                waves.push(net.hot_counters().since(before));
+            }
+            (waves, all_logs(&net), net.state_hash())
+        };
+        let (cached, cached_logs, cached_hash) = run(true);
+        let (reference, reference_logs, reference_hash) = run(false);
+        let counts = |d: &HotPathCounters| {
+            (
+                d.desc_cache_misses,
+                d.desc_cache_hits,
+                d.sha1_digests,
+                d.fetches,
+            )
+        };
+        // One derived pair answers the unit's second lookup, and the
+        // write-back answers every lookup of the next wave.
+        assert_eq!(counts(&cached[0]), (1, 1, 2, 4));
+        assert_eq!(counts(&cached[1]), (0, 2, 0, 4));
+        // The reference derives every lookup from scratch and keeps
+        // nothing.
+        assert_eq!(counts(&reference[0]), (0, 0, 8, 4));
+        assert_eq!(counts(&reference[1]), (0, 0, 8, 4));
+        // Both replicas' three HSDirs per fetch, two fetches, two waves.
+        assert_eq!(cached_logs.len(), 24);
+        assert_eq!(cached_logs, reference_logs);
+        assert_eq!(
+            cached_hash, reference_hash,
+            "the phantom row is invisible to the state hash"
+        );
+    }
+
+    #[test]
+    fn state_hash_skips_a_phantom_row_interned_before_a_service() {
+        let onion = OnionAddress::from_pubkey(b"registered after a phantom");
+        let run = |phantom_first: bool| {
+            let mut net = small_net();
+            for i in 0..net.relays().len() {
+                net.relay_mut(RelayId(i)).logging = true;
+            }
+            if phantom_first {
+                net.cached_pair(OnionAddress::from_pubkey(b"phantom in row zero"));
+            }
+            net.register_service(onion, true);
+            net.advance_hours(2);
+            assert_eq!(net.slot_hours(onion), 12);
+            net.state_hash()
+        };
+        assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn offline_service_cached_by_a_wave_hits_on_its_first_publish() {
+        let mut net = steady_net();
+        let onion = steady_onions(&net, 1, 3)[0];
+        net.register_service(onion, false);
+        net.advance_hours(1);
+        let client = net.add_client(Ipv4::new(10, 0, 0, 4));
+        net.prepare_wave();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut fx = WaveEffects::new(4);
+        assert_eq!(
+            net.client_fetch_readonly(client, onion, &mut rng, &mut fx),
+            FetchOutcome::NotFound
+        );
+        net.apply_wave_effects(fx);
+
+        net.set_service_online(onion, true);
+        let before = net.hot_counters();
+        net.advance_hours(1);
+        let d = net.hot_counters().since(before);
+        assert_eq!(
+            (d.desc_cache_hits, d.desc_cache_misses, d.sha1_digests),
+            (1, 0, 0),
+            "the wave's pair answers the first publish"
+        );
+        assert_eq!(net.client_fetch(client, onion), FetchOutcome::Found);
     }
 
     #[test]

@@ -261,15 +261,29 @@ fn hot_path_counters_consistent() {
         harvest.counters
     );
     assert!(a.stages.counter_total("fetches") > 0);
-    // SHA-1 work is exactly four digests per cache refill (2 replicas ×
-    // 2 finalizes), stage by stage.
+    // SHA-1 work is two digests per derived pair (one per replica, on
+    // the day's shared secret-ID parts) plus four per day whose parts
+    // a stage computes: the build's day in setup, and at most one per
+    // simulated day a stage covers.
     for t in &a.stages.executed {
         if let (Some(sha1), Some(misses)) =
             (t.counter("sha1_digests"), t.counter("desc_cache_misses"))
         {
-            assert_eq!(sha1, 4 * misses, "{}: {:?}", t.stage, t.counters);
+            let parts = sha1
+                .checked_sub(2 * misses)
+                .unwrap_or_else(|| panic!("{}: {:?}", t.stage, t.counters));
+            assert_eq!(parts % 4, 0, "{}: {:?}", t.stage, t.counters);
+            if let Some(hours) = t.counter("hours") {
+                assert!(parts / 4 <= hours / 24 + 1, "{}: {:?}", t.stage, t.counters);
+            }
         }
     }
+    let setup = a.stages.stage(StageId::Setup).unwrap();
+    assert_eq!(
+        setup.counter("sha1_digests"),
+        setup.counter("desc_cache_misses").map(|m| 2 * m + 4),
+        "setup derives its pairs from the start day's parts"
+    );
     // And the whole quartet is deterministic across same-seed runs.
     let b = Study::new(config()).run();
     let hot = |r: &StudyReport| -> Vec<u64> {
