@@ -63,7 +63,9 @@ impl PoissonStats {
 ///
 /// Each [`tick_hour`](TrafficDriver::tick_hour) is a read-only
 /// measurement wave: one work unit per `(service, rate)` pair, sharded
-/// across [`TrafficConfig::threads`] workers. A unit's RNG stream is
+/// across [`TrafficConfig::threads`] workers. A unit that fetches
+/// plans its onion's fetches once and reuses the plan for each of its
+/// client requests (`Network::plan_fetches`). A unit's RNG stream is
 /// keyed by `(seed, tick, onion)` — never by shard index — and its
 /// network side effects are merged back in rate-table order, so the
 /// traffic is byte-identical at any thread count.
@@ -121,9 +123,12 @@ impl TrafficDriver {
             let mut rng = StdRng::seed_from_u64(unit_key);
             let mut fx = WaveEffects::new(unit_key);
             let (n, pstats) = poisson_traced(rate, &mut rng);
-            for _ in 0..n {
-                let client = clients[rng.random_range(0..clients.len())];
-                let _ = net_ref.client_fetch_readonly(client, onion, &mut rng, &mut fx);
+            if n > 0 {
+                let mut plan = net_ref.plan_fetches(onion, &mut fx);
+                for _ in 0..n {
+                    let client = clients[rng.random_range(0..clients.len())];
+                    let _ = net_ref.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx);
+                }
             }
             (n, pstats, fx)
         });
@@ -294,6 +299,63 @@ mod tests {
             (driver.issued, format!("{:?}", net.hot_counters()))
         };
         assert_eq!(run(1), run(4));
+    }
+
+    #[test]
+    fn each_tick_fetches_the_descriptors_of_its_hour() {
+        use onion_crypto::descriptor::DescriptorId;
+        use std::collections::{HashMap, HashSet};
+        use tor_sim::relay::RelayId;
+
+        let world = World::generate(WorldConfig {
+            seed: 4,
+            scale: 0.01,
+        });
+        let mut net = NetworkBuilder::new()
+            .relays(60)
+            .seed(4)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .build();
+        world.register_all(&mut net);
+        for i in 0..net.relays().len() {
+            net.relay_mut(RelayId(i)).logging = true;
+        }
+        net.advance_hours(1);
+        let geo = GeoDb::new();
+        let mut driver = TrafficDriver::new(
+            &mut net,
+            &world,
+            &geo,
+            TrafficConfig {
+                clients: 30,
+                seed: 9,
+                threads: 2,
+            },
+        );
+        // A day of ticks rotates every service's descriptor IDs once.
+        let mut current = HashMap::new();
+        for _ in 0..26 {
+            let ids: HashSet<DescriptorId> = driver
+                .rates
+                .iter()
+                .flat_map(|&(onion, _)| DescriptorId::pair_at(onion, net.time().unix()))
+                .collect();
+            current.insert(net.time(), ids);
+            driver.tick_hour(&mut net);
+            net.advance_hours(1);
+        }
+        let mut logged = 0;
+        for i in 0..net.relays().len() {
+            for r in net.request_log(RelayId(i)).records() {
+                assert!(
+                    current[&r.time].contains(&r.descriptor_id),
+                    "a tick at {:?} fetched a descriptor ID of another hour",
+                    r.time
+                );
+                logged += 1;
+            }
+        }
+        assert!(logged > 1_000, "logged {logged}");
     }
 
     #[test]

@@ -217,7 +217,8 @@ impl Scanner {
     /// time, apply churn, revote, maintain guard sets — followed by a
     /// read-only *measurement wave*: one work unit per target, sharded
     /// across [`ScanConfig::threads`] workers. A unit fetches the
-    /// target's descriptor (unit-keyed RNG stream) and, on success,
+    /// target's descriptor (unit-keyed RNG stream; its retries reuse one
+    /// fetch plan) and, on success,
     /// probes the day's scheduled ports; its side effects and probe
     /// replies are merged back in target order, so the report is
     /// byte-identical at any thread count. Unreachable services leave
@@ -276,9 +277,10 @@ impl Scanner {
                 let unit_key = mix2(day_seed, onion_unit_key(onion));
                 let mut rng = StdRng::seed_from_u64(unit_key);
                 let mut fx = WaveEffects::new(unit_key);
+                let mut plan = net_ref.plan_fetches(onion, &mut fx);
                 let fetched = net_ref.client_fetch_with_retry_readonly(
                     scanner_client,
-                    onion,
+                    &mut plan,
                     retry,
                     &mut rng,
                     &mut fx,

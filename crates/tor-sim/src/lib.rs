@@ -81,7 +81,8 @@ pub use flags::RelayFlags;
 pub use guard::GuardSet;
 pub use intern::{ServiceId, ServiceInterner, ServiceTable};
 pub use network::{
-    onion_unit_key, ClientId, FetchOutcome, Network, NetworkBuilder, RoundTrace, WaveEffects,
+    onion_unit_key, ClientId, FetchOutcome, FetchPlan, Network, NetworkBuilder, RoundTrace,
+    WaveEffects,
 };
 pub use relay::{Ipv4, Operator, Relay, RelayId};
 pub use service::{ConnectOutcome, PortReply, ServiceBackend};

@@ -8,6 +8,8 @@
 //! popularity pipeline replays client request streams, and the
 //! deanonymisation attack reads the guard-observation feed.
 
+use std::marker::PhantomData;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
@@ -29,6 +31,9 @@ use crate::guard::GuardSet;
 use crate::relay::{Ipv4, Operator, Relay, RelayId};
 use crate::service::{ConnectOutcome, PortReply, ServiceBackend};
 use crate::store::{DescriptorStore, RequestLog, RequestRecord, StoredDescriptor};
+
+#[cfg(test)]
+mod reference;
 
 /// Handle to a client registered in the network.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -115,7 +120,8 @@ pub struct WaveEffects {
     /// Hot-path work the unit performed.
     hot: HotPathCounters,
     /// Descriptor-ID pairs the unit derived on cache misses, in miss
-    /// order. They answer the unit's later lookups, and
+    /// order. They answer the unit's later lookups of the same onion
+    /// (its fetch plan answers its repeat fetches), and
     /// [`Network::apply_wave_effects`] writes them into the cache.
     derived: Vec<(OnionAddress, DescPair)>,
     /// Queries dropped by the per-query drop rate.
@@ -155,6 +161,77 @@ impl WaveEffects {
     }
 }
 
+/// One read-only wave unit's plan for fetching one onion, built by
+/// [`Network::plan_fetches`] and used by every fetch the unit makes.
+///
+/// The network cannot change during a wave, so everything a fetch
+/// looks up before it draws randomness is the same for each of the
+/// unit's fetches: the descriptor-ID pair, each replica's responsible
+/// HSDirs, which of their stores hold the ID, which of them log, and
+/// whether a response from one carries an armed signature. The plan
+/// looks these up once; the fetches draw their replica swap, guard pick
+/// and HSDir order exactly as before. A plan borrows the network it was
+/// built from, so no plan outlives the wave: a consensus round would
+/// make it stale.
+///
+/// Each use after the first counts as a descriptor-ID cache hit, as the
+/// per-fetch lookup it replaces did.
+///
+/// # Examples
+///
+/// A plan cannot be used after the network it was built from moves on:
+///
+/// ```compile_fail,E0502
+/// use onion_crypto::OnionAddress;
+/// use rand::{rngs::StdRng, SeedableRng};
+/// use tor_sim::{Ipv4, NetworkBuilder, SimTime, WaveEffects};
+///
+/// let mut net = NetworkBuilder::new()
+///     .relays(60)
+///     .start(SimTime::from_ymd(2013, 2, 1))
+///     .build();
+/// let client = net.add_client(Ipv4::new(10, 0, 0, 1));
+/// let onion = OnionAddress::from_pubkey(b"service");
+/// net.prepare_wave();
+/// let mut fx = WaveEffects::new(1);
+/// let mut plan = net.plan_fetches(onion, &mut fx);
+/// let mut rng = StdRng::seed_from_u64(1);
+/// net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx);
+/// net.advance_hours(1);
+/// net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx);
+/// ```
+#[derive(Clone, Debug)]
+pub struct FetchPlan<'n> {
+    onion: OnionAddress,
+    ids: [DescriptorId; REPLICAS as usize],
+    /// Each replica's HSDirs, looked up by the first fetch that queries
+    /// that replica: if every fetch is served by the replica it tries
+    /// first, the other one is never looked up.
+    replicas: [Option<ReplicaPlan>; REPLICAS as usize],
+    /// Whether a fetch has used the plan yet.
+    used: bool,
+    net: PhantomData<&'n Network>,
+}
+
+/// The responsible HSDirs of one replica's descriptor ID and what a
+/// query to each would meet. Bit `k` of a mask describes `hsdirs[k]`.
+#[derive(Clone, Copy, Debug)]
+struct ReplicaPlan {
+    hsdirs: [RelayId; HSDIRS_PER_REPLICA],
+    /// How many of `hsdirs` are filled (fewer than three only on a tiny
+    /// ring, none on an empty one).
+    n: usize,
+    /// The HSDir's store holds the ID.
+    found: u8,
+    /// The HSDir logs requests.
+    logging: u8,
+    /// The HSDir is attacker-operated, so it arms its responses.
+    hostile: u8,
+    /// The armed target whose signature a hostile HSDir's response
+    /// carries (looked up only if a hostile HSDir holds the ID).
+    target: Option<OnionAddress>,
+}
+
 /// Stable unit key material for an onion address: the first eight bytes
 /// of its permanent identifier. Measurement crates combine this with
 /// day/hour indices to seed per-unit RNG streams.
@@ -176,7 +253,8 @@ pub struct HotPathCounters {
     /// lookup with the cache disabled.
     pub sha1_digests: u64,
     /// Descriptor-ID pair lookups answered from the per-period cache
-    /// (or, in a wave unit, from a pair the unit derived earlier).
+    /// (or, in a wave unit, from a pair the unit derived earlier, or
+    /// from the unit's fetch plan).
     pub desc_cache_hits: u64,
     /// Lookups that had to derive their pair (first sight or period
     /// rotation): one per derived pair.
@@ -996,15 +1074,63 @@ impl Network {
         }
     }
 
-    /// Read-only variant of [`Network::client_fetch_desc_id`] for
-    /// measurement waves: circuit and HSDir-order randomness comes from
-    /// the unit's own `rng`, and every side effect is recorded in `fx`
-    /// instead of written through. The client's guard set must have
-    /// been maintained by [`Network::prepare_wave`].
-    pub fn client_fetch_desc_id_readonly(
+    /// Plans a read-only wave unit's fetches of `onion`: looks up its
+    /// descriptor-ID pair as [`Network::client_fetch`] would, counting
+    /// the lookup in `fx` (a miss is derived once and kept in
+    /// `fx.derived`). Build one plan per unit that fetches, and pass it
+    /// to each of the unit's [`Network::client_fetch_readonly`] calls.
+    pub fn plan_fetches(&self, onion: OnionAddress, fx: &mut WaveEffects) -> FetchPlan<'_> {
+        FetchPlan {
+            onion,
+            ids: self.pair_readonly(onion, fx),
+            replicas: [None; REPLICAS as usize],
+            used: false,
+            net: PhantomData,
+        }
+    }
+
+    /// The responsible HSDirs of `desc_id` and what a query to each
+    /// would meet during this wave.
+    fn plan_replica(&self, desc_id: DescriptorId) -> ReplicaPlan {
+        let mut hsdirs = [RelayId(usize::MAX); HSDIRS_PER_REPLICA];
+        let n = self.consensus.responsible_hsdirs_into(desc_id, &mut hsdirs);
+        let (mut found, mut logging, mut hostile) = (0u8, 0u8, 0u8);
+        for (k, hsdir) in hsdirs[..n].iter().enumerate() {
+            let relay = &self.relays[hsdir.0];
+            found |= u8::from(self.stores[hsdir.0].contains(desc_id)) << k;
+            logging |= u8::from(relay.logging) << k;
+            hostile |= u8::from(relay.operator != Operator::Honest) << k;
+        }
+        // Signature injection: an attacker HSDir knows the target
+        // services' current descriptor IDs and arms its responses.
+        let target = if found & hostile == 0 {
+            None
+        } else {
+            self.signature_for(desc_id)
+                .filter(|(_, sig)| sig.matches(&sig.encode_response(3)))
+                .map(|(onion, _)| onion)
+        };
+        ReplicaPlan {
+            hsdirs,
+            n,
+            found,
+            logging,
+            hostile,
+            target,
+        }
+    }
+
+    /// One read-only fetch of `plan`'s descriptor ID for `replica`, the
+    /// wave counterpart of [`Network::client_fetch_desc_id`]: circuit
+    /// and HSDir-order randomness comes from the unit's own `rng`, and
+    /// every side effect is recorded in `fx` instead of written
+    /// through. The client's guard set must have been maintained by
+    /// [`Network::prepare_wave`].
+    fn fetch_replica(
         &self,
         client: ClientId,
-        desc_id: DescriptorId,
+        plan: &mut FetchPlan<'_>,
+        replica: usize,
         rng: &mut StdRng,
         fx: &mut WaveEffects,
     ) -> FetchOutcome {
@@ -1012,23 +1138,26 @@ impl Network {
         let Some(guard) = self.clients[client.0].guards.pick(&self.consensus, rng) else {
             return FetchOutcome::NoCircuit;
         };
-
-        let mut order = [RelayId(usize::MAX); HSDIRS_PER_REPLICA];
-        let n = self.consensus.responsible_hsdirs_into(desc_id, &mut order);
-        if n == 0 {
+        let desc_id = plan.ids[replica];
+        let r = *plan.replicas[replica].get_or_insert_with(|| self.plan_replica(desc_id));
+        if r.n == 0 {
             return FetchOutcome::NoHsdirs;
         }
-        order[..n].shuffle(rng);
+        // Shuffling slot indices draws from the RNG exactly like
+        // shuffling the relays themselves.
+        let mut order = [0, 1, 2];
+        order[..r.n].shuffle(rng);
 
         let faults_active = !self.faults.is_inert();
         let mut outcome = FetchOutcome::NotFound;
-        for &hsdir in &order[..n] {
+        for &k in &order[..r.n] {
+            let hsdir = r.hsdirs[k];
             if faults_active && self.wave_drops_query(hsdir, desc_id, fx) {
                 outcome = FetchOutcome::Timeout;
                 continue;
             }
-            let found = self.stores[hsdir.0].contains(desc_id);
-            if self.relays[hsdir.0].logging {
+            let found = r.found >> k & 1 == 1;
+            if r.logging >> k & 1 == 1 {
                 fx.logs.push((
                     hsdir,
                     RequestRecord {
@@ -1042,17 +1171,15 @@ impl Network {
                 continue;
             }
             outcome = FetchOutcome::Found;
-            if self.relays[hsdir.0].operator != Operator::Honest {
-                if let Some((onion, sig)) = self.signature_for(desc_id) {
-                    let cells = sig.encode_response(3);
-                    if self.relays[guard.0].operator != Operator::Honest && sig.matches(&cells) {
-                        fx.observations.push(GuardObservation {
-                            time: self.time,
-                            guard,
-                            client_ip: self.clients[client.0].ip,
-                            onion,
-                        });
-                    }
+            // The guard inspects cells flowing toward the client.
+            if let Some(onion) = r.target.filter(|_| r.hostile >> k & 1 == 1) {
+                if self.relays[guard.0].operator != Operator::Honest {
+                    fx.observations.push(GuardObservation {
+                        time: self.time,
+                        guard,
+                        client_ip: self.clients[client.0].ip,
+                        onion,
+                    });
                 }
             }
             break;
@@ -1085,27 +1212,37 @@ impl Network {
         false
     }
 
-    /// Read-only variant of [`Network::client_fetch`]: the replica swap
-    /// draws from the unit `rng`, and a descriptor-ID pair the cache
-    /// does not hold is derived once per unit and kept in `fx`, so the
-    /// unit's later fetches of the same onion hit and the cache holds
-    /// it after [`Network::apply_wave_effects`].
-    pub fn client_fetch_readonly(
-        &self,
+    /// Read-only variant of [`Network::client_fetch`] for measurement
+    /// waves: one fetch through the unit's `plan`. The replica swap,
+    /// guard pick and HSDir order draw from the unit `rng` exactly as
+    /// the sequential fetch draws from the network's. Each use after
+    /// the plan's first counts the descriptor-ID lookup it replaces as
+    /// a cache hit; with the cache disabled it rebuilds the plan
+    /// instead, so every lookup derives its pair from scratch.
+    pub fn client_fetch_readonly<'n>(
+        &'n self,
         client: ClientId,
-        onion: OnionAddress,
+        plan: &mut FetchPlan<'n>,
         rng: &mut StdRng,
         fx: &mut WaveEffects,
     ) -> FetchOutcome {
-        let mut ids = self.pair_readonly(onion, fx);
-        if rng.random::<bool>() {
-            ids.swap(0, 1);
+        if plan.used {
+            if self.desc_cache_enabled {
+                fx.hot.desc_cache_hits += 1;
+            } else {
+                *plan = self.plan_fetches(plan.onion, fx);
+            }
         }
-        let first = self.client_fetch_desc_id_readonly(client, ids[0], rng, fx);
+        plan.used = true;
+        let mut replicas = [0, 1];
+        if rng.random::<bool>() {
+            replicas.swap(0, 1);
+        }
+        let first = self.fetch_replica(client, plan, replicas[0], rng, fx);
         match first {
             FetchOutcome::Found | FetchOutcome::NoCircuit | FetchOutcome::NoHsdirs => first,
             FetchOutcome::NotFound | FetchOutcome::Timeout => {
-                let second = self.client_fetch_desc_id_readonly(client, ids[1], rng, fx);
+                let second = self.fetch_replica(client, plan, replicas[1], rng, fx);
                 match second {
                     FetchOutcome::Found => FetchOutcome::Found,
                     _ if first == FetchOutcome::Timeout => FetchOutcome::Timeout,
@@ -1115,11 +1252,12 @@ impl Network {
         }
     }
 
-    /// Read-only variant of [`Network::client_fetch_with_retry`].
-    pub fn client_fetch_with_retry_readonly(
-        &self,
+    /// Read-only variant of [`Network::client_fetch_with_retry`]: every
+    /// attempt is one fetch through `plan`.
+    pub fn client_fetch_with_retry_readonly<'n>(
+        &'n self,
         client: ClientId,
-        onion: OnionAddress,
+        plan: &mut FetchPlan<'n>,
         policy: &RetryPolicy,
         rng: &mut StdRng,
         fx: &mut WaveEffects,
@@ -1129,7 +1267,7 @@ impl Network {
         let mut backoff_secs = 0u64;
         loop {
             attempts += 1;
-            let outcome = self.client_fetch_readonly(client, onion, rng, fx);
+            let outcome = self.client_fetch_readonly(client, plan, rng, fx);
             if outcome != FetchOutcome::Timeout || attempts >= budget {
                 return FetchAttempts {
                     outcome,
@@ -2393,15 +2531,17 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(1);
         let mut fx = WaveEffects::new(0x11);
+        let mut plan = net.plan_fetches(onion, &mut fx);
         assert_eq!(
-            net.client_fetch_readonly(client, onion, &mut rng, &mut fx),
+            net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx),
             FetchOutcome::Found
         );
         let phantom = OnionAddress::from_pubkey(b"wave phantom");
         let mut rng2 = StdRng::seed_from_u64(2);
         let mut fx2 = WaveEffects::new(0x22);
+        let mut plan2 = net.plan_fetches(phantom, &mut fx2);
         assert_eq!(
-            net.client_fetch_readonly(client, phantom, &mut rng2, &mut fx2),
+            net.client_fetch_readonly(client, &mut plan2, &mut rng2, &mut fx2),
             FetchOutcome::NotFound
         );
         assert_eq!(
@@ -2457,8 +2597,9 @@ mod tests {
                 let before = net.hot_counters();
                 let mut rng = StdRng::seed_from_u64(wave);
                 let mut fx = WaveEffects::new(wave);
+                let mut plan = net.plan_fetches(phantom, &mut fx);
                 for _ in 0..2 {
-                    let outcome = net.client_fetch_readonly(client, phantom, &mut rng, &mut fx);
+                    let outcome = net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx);
                     assert_eq!(outcome, FetchOutcome::NotFound);
                 }
                 net.apply_wave_effects(fx);
@@ -2522,8 +2663,9 @@ mod tests {
         net.prepare_wave();
         let mut rng = StdRng::seed_from_u64(4);
         let mut fx = WaveEffects::new(4);
+        let mut plan = net.plan_fetches(onion, &mut fx);
         assert_eq!(
-            net.client_fetch_readonly(client, onion, &mut rng, &mut fx),
+            net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx),
             FetchOutcome::NotFound
         );
         net.apply_wave_effects(fx);
@@ -2562,9 +2704,10 @@ mod tests {
             net.prepare_wave();
             let mut rng = StdRng::seed_from_u64(77);
             let mut fx = WaveEffects::new(0xabc);
+            let mut plan = net.plan_fetches(onion, &mut fx);
             let out = net.client_fetch_with_retry_readonly(
                 client,
-                onion,
+                &mut plan,
                 &RetryPolicy::standard(),
                 &mut rng,
                 &mut fx,

@@ -566,6 +566,130 @@ proptest! {
         }
     }
 
+    /// A read-only wave unit's `n` fetches of one onion through one
+    /// [`FetchPlan`](crate::network::FetchPlan) match `n` fetches
+    /// through the per-fetch reference path, which looks everything up
+    /// anew: the same outcomes in order, the same effects (hot
+    /// counters, derived pairs, request logs, guard observations, drop
+    /// counters, per-relay load and query serial) and the same next
+    /// RNG draw. Each case runs registered online, registered offline
+    /// and phantom onions with the descriptor-ID cache on and off, under
+    /// an inert, the adversarial or a lossy fault plan, with or without
+    /// retries, and may arm the online onion behind attacker guards and
+    /// HSDirs.
+    #[test]
+    fn planned_fetches_match_the_per_fetch_reference(
+        net_seed in 0u64..1_000,
+        relays in 30usize..80,
+        hours in 1u64..40,
+        attacker_quarters in 0u64..4,
+        armed in any::<bool>(),
+        faults in 0u8..3,
+        retry in any::<bool>(),
+        warmup in 0usize..6,
+        unit_seed in any::<u64>(),
+        n in 0usize..16,
+    ) {
+        use crate::cells::TrafficSignature;
+        use crate::fault::{FaultPlan, RetryPolicy};
+        use crate::network::{onion_unit_key, FetchAttempts, WaveEffects};
+        use crate::relay::Operator;
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+
+        let plan = match faults {
+            0 => FaultPlan::none(),
+            1 => FaultPlan::adversarial(net_seed),
+            // Lossy: most queries drop, and a few per round overload.
+            _ => FaultPlan {
+                seed: net_seed,
+                hsdir_drop_rate: 0.7,
+                overload_threshold: 6,
+                ..FaultPlan::none()
+            },
+        };
+        let mut base = NetworkBuilder::new()
+            .relays(relays)
+            .seed(net_seed)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .faults(plan)
+            .build();
+        let [online, offline, phantom] =
+            [0u8, 1, 2].map(|k| OnionAddress::from_pubkey(&[k, 0x9f, net_seed as u8]));
+        base.register_service(online, true);
+        base.register_service(offline, false);
+        if armed {
+            base.arm_signature(online, TrafficSignature::default());
+        }
+        for i in 0..relays {
+            let roll = wave::mix2(net_seed, i as u64);
+            let relay = base.relay_mut(RelayId(i));
+            if roll % 4 < attacker_quarters {
+                relay.operator = Operator::Harvester;
+                relay.logging = true;
+            } else {
+                relay.logging = roll.is_multiple_of(3);
+            }
+        }
+        base.advance_hours(hours);
+        let clients: Vec<_> = (0..3u8)
+            .map(|k| base.add_client(Ipv4::new(10, 9, 0, k)))
+            .collect();
+        // Sequential fetches before the wave leave round load behind
+        // for the overload check to start from.
+        for _ in 0..warmup {
+            base.client_fetch(clients[0], online);
+        }
+        let policy = RetryPolicy::standard();
+
+        for cache in [true, false] {
+            let mut net = base.clone();
+            net.set_desc_cache_enabled(cache);
+            net.prepare_wave();
+            for onion in [online, offline, phantom] {
+                let unit_key = wave::mix2(unit_seed, onion_unit_key(onion));
+                let once = |outcome| FetchAttempts {
+                    outcome,
+                    attempts: 1,
+                    backoff_secs: 0,
+                };
+
+                let mut rng = StdRng::seed_from_u64(unit_key);
+                let mut fx = WaveEffects::new(unit_key);
+                let mut planned = Vec::new();
+                if n > 0 {
+                    let mut plan = net.plan_fetches(onion, &mut fx);
+                    for _ in 0..n {
+                        let client = clients[rng.random_range(0..clients.len())];
+                        planned.push(if retry {
+                            net.client_fetch_with_retry_readonly(
+                                client, &mut plan, &policy, &mut rng, &mut fx,
+                            )
+                        } else {
+                            once(net.client_fetch_readonly(client, &mut plan, &mut rng, &mut fx))
+                        });
+                    }
+                }
+                let planned = (planned, format!("{fx:?}"), rng.random::<u64>());
+
+                let mut rng = StdRng::seed_from_u64(unit_key);
+                let mut fx = WaveEffects::new(unit_key);
+                let mut reference = Vec::new();
+                for _ in 0..n {
+                    let client = clients[rng.random_range(0..clients.len())];
+                    reference.push(if retry {
+                        net.reference_fetch_with_retry(client, onion, &policy, &mut rng, &mut fx)
+                    } else {
+                        once(net.reference_fetch(client, onion, &mut rng, &mut fx))
+                    });
+                }
+                let reference = (reference, format!("{fx:?}"), rng.random::<u64>());
+
+                prop_assert_eq!(planned, reference, "cache {}, onion {}", cache, onion);
+            }
+        }
+    }
+
     /// SHA-1-derived ring positions are uniform enough that the
     /// average-gap estimate is within an order of magnitude of every
     /// observed gap for moderate rings — sanity for the ratio statistic.

@@ -3,7 +3,7 @@
 # outputs under results/ (used to fill EXPERIMENTS.md), or runs a gate.
 #
 #   sh scripts_run_experiments.sh          regenerate results/*.txt
-#   sh scripts_run_experiments.sh verify   fmt + clippy + study + scale1 + sketch + daemon + perfbench
+#   sh scripts_run_experiments.sh verify   fmt + clippy + study + faults + scale1 + sketch + daemon + perfbench
 #   sh scripts_run_experiments.sh study    traced study at 1 and N threads vs its baselines
 #   sh scripts_run_experiments.sh faults   adversarial fault-injection run
 #   sh scripts_run_experiments.sh scale1   paper-scale setup+harvest gate
@@ -100,6 +100,7 @@ if [ "${1:-}" = "verify" ]; then
   echo "== cargo clippy --workspace --all-targets -- -D warnings"
   cargo clippy --workspace --all-targets -- -D warnings
   sh "$0" study
+  sh "$0" faults
   sh "$0" scale1
   sh "$0" sketch
   sh "$0" daemon
