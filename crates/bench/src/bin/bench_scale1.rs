@@ -44,7 +44,7 @@ fn counters(run: &PipelineRun) -> Vec<(&'static str, u64)> {
 fn run_at(threads: usize) -> (PipelineRun, f64) {
     eprintln!("[bench_scale1] setup+harvest at scale 1.0, {threads} thread(s)…");
     let started = Instant::now();
-    let run = Pipeline::new(StudyConfig::scale_one()).run(
+    let run = Pipeline::new(StudyConfig::at_scale(1.0)).run(
         &[StageId::Harvest],
         ExecMode::parallel().with_wave_threads(threads),
     );

@@ -1,5 +1,7 @@
 //! The streaming-sketch benchmark gate: the exact-vs-sketch
-//! differential at scale 0.03 plus a synthetic ingest throughput
+//! differential on the test preset at scale 0.03
+//! (`StudyConfig::test_scale()` with `scale: 0.03`, not the world
+//! `landscape --scale 0.03` builds) plus a synthetic ingest throughput
 //! measurement, written to `results/bench_sketch.json`.
 //!
 //! Three properties are checked here and diffed against the committed

@@ -6,7 +6,7 @@ use hs_landscape::hs_tracking::{
 };
 use hs_landscape::report;
 use hs_landscape::tor_sim::clock::SimTime;
-use hs_landscape::{StudyReport, TrackingReport};
+use hs_landscape::TrackingReport;
 
 fn main() {
     eprintln!("[hs-bench] generating 3-year consensus archive…");
@@ -34,5 +34,4 @@ fn main() {
     let tracking = TrackingReport { years };
     println!("{}", report::render_tracking(&tracking));
     println!("Paper reference: year 1 no clear tracking (one flag-timing oddity); year 2 the authors' own relays (ratio >100, repeated fingerprint changes); year 3 two campaigns — May 21–Jun 3 set at ratio >10k holding 1/6 slots, and the Aug 31 six-relay/3-IP full takeover");
-    let _ = std::marker::PhantomData::<StudyReport>;
 }

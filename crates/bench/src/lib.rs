@@ -1,11 +1,14 @@
-//! Shared scaffolding for the benchmark harness binaries that
-//! regenerate every table and figure of Biryukov et al. (ICDCS 2014).
+//! Shared scaffolding for the benchmark harness binaries of Biryukov
+//! et al. (ICDCS 2014).
 //!
-//! Each binary under `src/bin/` reproduces one artifact; see
-//! `EXPERIMENTS.md` at the repository root for the paper-vs-measured
-//! record. The Criterion benches under `benches/` cover the hot paths
-//! (SHA-1, descriptor derivation, ring lookup, classifiers, consensus
-//! voting).
+//! The paper's tables and figures come from the `landscape` CLI
+//! (`landscape fig1|table1|fig2|table2|fig3|certs|sec5`). The binaries
+//! under `src/bin/` cover the rest: the Sec. II harvest cost, the
+//! Sec. VI catch-rate sweep, the Sec. VII tracking findings, two
+//! ablations and the scale-1.0 and sketch gates; see `EXPERIMENTS.md`
+//! at the repository root for the paper-vs-measured record. The
+//! Criterion benches under `benches/` cover the hot paths (SHA-1,
+//! descriptor derivation, ring lookup, classifiers, consensus voting).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,45 +26,11 @@ pub fn bench_scale() -> f64 {
         .unwrap_or(0.25)
 }
 
-/// Builds the standard study configuration at [`bench_scale`].
-pub fn bench_config() -> StudyConfig {
-    let scale = bench_scale();
-    StudyConfig {
-        scale,
-        relays: ((1_400.0 * scale) as usize).clamp(150, 1_400),
-        harvest: hs_landscape::hs_harvest::HarvestConfig {
-            fleet: hs_landscape::hs_harvest::FleetConfig {
-                ips: ((58.0 * scale) as u32).max(8),
-                relays_per_ip: 24,
-                bandwidth: 400,
-            },
-            warmup_hours: 26,
-            rotation_hours: 2,
-        },
-        scan_days: 7,
-        traffic_clients: ((500.0 * scale) as usize).max(60),
-        run_tracking: false,
-        ..StudyConfig::default()
-    }
-}
-
-/// Runs the standard study (used by binaries that need the full
-/// report).
-pub fn run_bench_study() -> hs_landscape::StudyReport {
-    let config = bench_config();
-    eprintln!(
-        "[hs-bench] running study at scale {} ({} relays)…",
-        config.scale, config.relays
-    );
-    Study::new(config).run()
-}
-
-/// Runs only the dependency closure of `targets` at [`bench_scale`],
-/// printing the per-stage timing table (skipped stages included) to
-/// stderr. Figure-specific binaries use this so each pays only for
-/// the stages its artifact needs.
+/// Runs only the dependency closure of `targets` on
+/// [`StudyConfig::at_scale`] at [`bench_scale`], printing the
+/// per-stage timing table (skipped stages included) to stderr.
 pub fn run_bench_stages(targets: &[StageId]) -> PipelineRun {
-    let config = bench_config();
+    let config = StudyConfig::at_scale(bench_scale());
     let names: Vec<&str> = targets.iter().map(|s| s.name()).collect();
     eprintln!(
         "[hs-bench] running stages [{}] at scale {} ({} relays)…",

@@ -10,8 +10,8 @@
 //! landscape study   [--scale S] [--seed N]   run the full pipeline, print all artifacts
 //! landscape fig1    [--scale S] [--seed N]   open-ports distribution (Fig. 1)
 //! landscape table1  [--scale S] [--seed N]   HTTP/HTTPS access (Table I)
-//! landscape fig2    [--scale S] [--seed N]   topics distribution (Fig. 2)
-//! landscape table2  [--scale S] [--seed N]   popularity ranking (Table II)
+//! landscape fig2    [--scale S] [--seed N]   funnel, languages, topics (Fig. 2)
+//! landscape table2  [--scale S] [--seed N]   popularity ranking (Table II), Goldnet forensics
 //! landscape fig3    [--scale S] [--seed N]   client geo map (Fig. 3)
 //! landscape certs   [--scale S] [--seed N]   certificate survey (Sec. III)
 //! landscape sec5    [--scale S] [--seed N]   popularity statistics (Sec. V)
@@ -43,7 +43,7 @@ use std::process::ExitCode;
 
 use hs_landscape::obs;
 use hs_landscape::pipeline::{ExecMode, PipelineTimings, StageId};
-use hs_landscape::{report, RunOptions, Study, StudyConfig};
+use hs_landscape::{check_scale, report, RunOptions, Study, StudyConfig};
 
 struct Args {
     command: String,
@@ -78,10 +78,7 @@ fn parse_args() -> Result<Args, String> {
         match flag.as_str() {
             "--scale" => {
                 let v = args.next().ok_or("--scale needs a value".to_owned())?;
-                scale = v.parse().map_err(|_| format!("bad scale {v:?}"))?;
-                if !(scale > 0.0 && scale <= 1.0) {
-                    return Err("scale must be in (0, 1]".to_owned());
-                }
+                scale = check_scale(v.parse().map_err(|_| format!("bad scale {v:?}"))?)?;
             }
             "--seed" => {
                 let v = args.next().ok_or("--seed needs a value".to_owned())?;
@@ -143,24 +140,10 @@ fn usage() -> String {
 fn study_config(args: &Args) -> Result<StudyConfig, String> {
     let mut cfg = StudyConfig {
         seed: args.seed,
-        scale: args.scale,
-        relays: ((1_400.0 * args.scale) as usize).clamp(150, 1_400),
-        harvest: hs_landscape::hs_harvest::HarvestConfig {
-            fleet: hs_landscape::hs_harvest::FleetConfig {
-                ips: ((58.0 * args.scale) as u32).max(8),
-                relays_per_ip: 24,
-                bandwidth: 400,
-            },
-            warmup_hours: 26,
-            rotation_hours: 2,
-        },
-        scan_days: 7,
-        traffic_clients: ((500.0 * args.scale) as usize).max(60),
-        run_tracking: false,
         streaming: args
             .streaming
             .then(hs_landscape::hs_popularity::SketchConfig::default),
-        ..StudyConfig::default()
+        ..StudyConfig::at_scale(args.scale)
     };
     cfg.apply_fault_profile(&args.faults)?;
     Ok(cfg)
@@ -322,13 +305,26 @@ fn main() -> ExitCode {
         "fig1" => println!("{}", report::render_fig1(artifacts.scan())),
         "table1" => println!("{}", report::render_table1(artifacts.crawl())),
         "fig2" => {
-            println!("{}", report::render_funnel_and_languages(artifacts.crawl()));
-            println!("{}", report::render_fig2(artifacts.crawl()));
+            let crawl = artifacts.crawl();
+            println!("{}", report::render_funnel_and_languages(crawl));
+            println!("{}", report::render_fig2(crawl));
+            let (lang_acc, topic_acc) = hs_landscape::hs_content::Crawler::new()
+                .evaluate_against_truth(artifacts.world(), crawl);
+            println!(
+                "classifier accuracy vs ground truth: language {:.1}%, topic {:.1}%",
+                lang_acc * 100.0,
+                topic_acc * 100.0
+            );
         }
-        "table2" => println!(
-            "{}",
-            report::render_table2(&artifacts.popularity().ranking, 30)
-        ),
+        "table2" => {
+            let pop = artifacts.popularity();
+            println!("{}", report::render_table2(&pop.ranking, 30));
+            println!(
+                "Goldnet forensics: {} front ends → {} physical servers",
+                pop.forensics.frontends(),
+                pop.forensics.physical_servers()
+            );
+        }
         "fig3" => println!("{}", report::render_fig3(artifacts.deanon())),
         "certs" => println!("{}", report::render_certs(artifacts.certs())),
         "sec5" => {

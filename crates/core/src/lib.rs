@@ -47,7 +47,7 @@ pub use pipeline::{
     CacheCounters, CancelToken, ExecMode, Halt, MemoryCache, PipelineRun, PipelineTimings,
     RunControl, RunOptions, StageCache, StageId, StagePayload, StageTiming,
 };
-pub use study::{DeanonReport, Study, StudyConfig, StudyReport, TrackingReport};
+pub use study::{check_scale, DeanonReport, Study, StudyConfig, StudyReport, TrackingReport};
 
 // Re-export the subsystem crates under one roof.
 pub use hs_content;

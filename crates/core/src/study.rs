@@ -112,20 +112,23 @@ impl StudyConfig {
         }
     }
 
-    /// The full paper-scale preset: the 2013 network at scale 1.0
-    /// (~39,824 addresses, 1,400 honest relays) attacked with the
-    /// paper's actual fleet — 58 IPs × 24 relay instances. This is the
-    /// configuration the scale-1.0 benchmarks run (and the committed
-    /// `results/bench_scale1_baseline.json` budget covers); the
-    /// 3-year tracking analysis stays off so the preset measures the
-    /// simulation hot paths, not the tracking extrapolation.
-    pub fn scale_one() -> Self {
+    /// The study `landscape --scale <scale>` runs: the 2013 network
+    /// scaled down, with relays, fleet and clients scaled along. At
+    /// 1.0 it is the paper's setting (~39,824 addresses, 1,400 honest
+    /// relays, the 58-IP × 24-instance fleet) that the scale-1.0 gate
+    /// runs. Relays are 1,400 × `scale` within 150..=1,400, the fleet
+    /// is max(58 × `scale`, 8) IPs of 24 relays at bandwidth 400, the
+    /// port scan runs 7 days and max(500 × `scale`, 60) clients make
+    /// requests. The full study leaves out the 3-year tracking
+    /// analysis, so it measures the simulation, not the tracking
+    /// extrapolation; `landscape tracking` runs that stage alone.
+    pub fn at_scale(scale: f64) -> Self {
         StudyConfig {
-            scale: 1.0,
-            relays: 1_400,
+            scale,
+            relays: ((1_400.0 * scale) as usize).clamp(150, 1_400),
             harvest: HarvestConfig {
                 fleet: hs_harvest::FleetConfig {
-                    ips: 58,
+                    ips: ((58.0 * scale) as u32).max(8),
                     relays_per_ip: 24,
                     bandwidth: 400,
                 },
@@ -133,7 +136,7 @@ impl StudyConfig {
                 rotation_hours: 2,
             },
             scan_days: 7,
-            traffic_clients: 500,
+            traffic_clients: ((500.0 * scale) as usize).max(60),
             run_tracking: false,
             ..StudyConfig::default()
         }
@@ -223,6 +226,22 @@ impl StudyConfig {
                 "unknown fault profile `{other}` (expected `none` or `adversarial`)"
             )),
         }
+    }
+}
+
+/// Checks a command-line scale: the world generator accepts only
+/// (0, 1], so `landscape` and `landscaped` reject anything else before
+/// they build a world.
+///
+/// # Errors
+///
+/// Returns the accepted range for zero, negative, NaN, infinite or
+/// larger-than-one values.
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if scale > 0.0 && scale <= 1.0 {
+        Ok(scale)
+    } else {
+        Err("scale must be in (0, 1]".to_owned())
     }
 }
 
@@ -447,6 +466,47 @@ mod tests {
             "tracking stage skipped"
         );
         assert_eq!(report.stages.executed.len(), 8, "eight stages ran");
+    }
+
+    #[test]
+    fn at_scale_pins_the_scaling_rule() {
+        for (scale, relays, ips, clients) in [
+            (0.03, 150, 8, 60),
+            (0.25, 350, 14, 125),
+            (1.0, 1_400, 58, 500),
+        ] {
+            let cfg = StudyConfig::at_scale(scale);
+            assert_eq!(cfg.scale, scale);
+            assert_eq!(cfg.relays, relays, "relays at {scale}");
+            assert_eq!(cfg.harvest.fleet.ips, ips, "fleet IPs at {scale}");
+            assert_eq!(cfg.harvest.fleet.relays_per_ip, 24);
+            assert_eq!(cfg.harvest.fleet.bandwidth, 400);
+            assert_eq!(cfg.scan_days, 7);
+            assert_eq!(cfg.traffic_clients, clients, "clients at {scale}");
+            assert!(!cfg.run_tracking);
+        }
+        // The paper-scale preset `at_scale(1.0)` replaced, field for field.
+        let paper = StudyConfig {
+            scale: 1.0,
+            relays: 1_400,
+            harvest: HarvestConfig {
+                fleet: hs_harvest::FleetConfig {
+                    ips: 58,
+                    relays_per_ip: 24,
+                    bandwidth: 400,
+                },
+                warmup_hours: 26,
+                rotation_hours: 2,
+            },
+            scan_days: 7,
+            traffic_clients: 500,
+            run_tracking: false,
+            ..StudyConfig::default()
+        };
+        assert_eq!(
+            format!("{:?}", StudyConfig::at_scale(1.0)),
+            format!("{paper:?}")
+        );
     }
 
     #[test]

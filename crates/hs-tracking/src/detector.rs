@@ -342,7 +342,12 @@ impl TrackingDetector {
                 suspicions,
             });
         }
-        servers.sort_by(|a, b| b.max_ratio.total_cmp(&a.max_ratio));
+        // `tracks` iterates in hash order: break ratio ties by key.
+        servers.sort_by(|a, b| {
+            b.max_ratio
+                .total_cmp(&a.max_ratio)
+                .then_with(|| a.key.cmp(&b.key))
+        });
 
         TrackingAnalysis {
             start,
@@ -503,6 +508,18 @@ mod tests {
                 o.max_ratio > 100.0 && o.max_ratio < 50_000.0,
                 "{}",
                 o.max_ratio
+            );
+        }
+        // Our servers tie on ratio; ties rank by server key, so the
+        // report reads the same in every process.
+        assert!(ours.windows(2).any(|w| w[0].max_ratio == w[1].max_ratio));
+        for w in analysis.servers.windows(2) {
+            assert!(
+                w[0].max_ratio > w[1].max_ratio
+                    || (w[0].max_ratio == w[1].max_ratio && w[0].key < w[1].key),
+                "{:?} ranked before {:?}",
+                w[0].key,
+                w[1].key
             );
         }
     }

@@ -23,6 +23,7 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
+use hs_landscape::check_scale;
 use hs_serve::{Client, Daemon, DaemonConfig, TickEvery};
 use obs::{LogLevel, Logger};
 
@@ -77,14 +78,16 @@ fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
         .map_err(|_| format!("bad value for {flag}: {value}"))
 }
 
-fn serve(args: &[String]) -> Result<(), String> {
+/// Parses `serve`'s flags into the daemon configuration and the
+/// optional `--port-file` path.
+fn parse_serve(args: &[String]) -> Result<(DaemonConfig, Option<String>), String> {
     let mut cfg = DaemonConfig::default();
     let mut port_file: Option<String> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--addr" => cfg.addr = take_value(flag, &mut it)?.clone(),
-            "--scale" => cfg.study.scale = parse(flag, take_value(flag, &mut it)?)?,
+            "--scale" => cfg.study.scale = check_scale(parse(flag, take_value(flag, &mut it)?)?)?,
             "--seed" => cfg.study.seed = parse(flag, take_value(flag, &mut it)?)?,
             "--threads" => cfg.wave_threads = parse(flag, take_value(flag, &mut it)?)?,
             "--max-inflight" => cfg.max_inflight = parse(flag, take_value(flag, &mut it)?)?,
@@ -108,6 +111,11 @@ fn serve(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
+    Ok((cfg, port_file))
+}
+
+fn serve(args: &[String]) -> Result<(), String> {
+    let (cfg, port_file) = parse_serve(args)?;
     let daemon = Daemon::bind(cfg).map_err(|e| format!("bind failed: {e}"))?;
     let addr = daemon.local_addr().map_err(|e| format!("no addr: {e}"))?;
     if let Some(path) = port_file {
@@ -179,4 +187,26 @@ fn dump_trace(args: &[String]) -> Result<(), String> {
     std::fs::write(file, &json).map_err(|e| format!("cannot write {file}: {e}"))?;
     eprintln!("wrote {} bytes of trace to {file}", json.len());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_scale(scale: &str) -> Result<(DaemonConfig, Option<String>), String> {
+        parse_serve(&["--scale".to_owned(), scale.to_owned()])
+    }
+
+    #[test]
+    fn serve_rejects_a_scale_outside_the_unit_interval() {
+        for bad in ["0", "-1", "NaN", "inf", "1.5"] {
+            assert_eq!(
+                parse_scale(bad).unwrap_err(),
+                "scale must be in (0, 1]",
+                "--scale {bad}"
+            );
+        }
+        let (cfg, _) = parse_scale("1.0").expect("--scale 1.0 is accepted");
+        assert_eq!(cfg.study.scale, 1.0);
+    }
 }

@@ -3,13 +3,15 @@
 //! release (the `reply_run` leak regression), tick/readers
 //! concurrency (the epoch-mutex stall regression), epoch-pin
 //! survival under byte-budget churn, the background ticker, and
-//! `GET <stage> FULL` projections.
+//! `GET <stage> FULL` projections, byte for byte against the batch
+//! render of the daemon's own world.
 
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use hs_landscape::StudyConfig;
+use hs_landscape::pipeline::Pipeline;
+use hs_landscape::{report, ExecMode, StageId, StudyConfig};
 use hs_serve::{Client, Daemon, DaemonConfig, DaemonHandle, TickEvery};
 
 /// A daemon provisioned for tests: tiny study, OS-assigned port.
@@ -226,4 +228,48 @@ fn get_full_streams_batch_renders() {
     // Stages without a batch render fall back to the summary.
     let setup_full = client.request("GET setup FULL").unwrap();
     assert!(setup_full.iter().any(|l| l.starts_with("services=")));
+}
+
+#[test]
+fn get_full_equals_the_batch_render_of_the_daemons_world() {
+    let mut study = None;
+    let (_handle, mut client) = spawn(|cfg| {
+        cfg.study.seed = 7;
+        study = Some(cfg.study.clone());
+    });
+    let batch = Pipeline::new(study.expect("daemon config")).run(
+        &[StageId::PortScan, StageId::Crawl, StageId::Popularity],
+        ExecMode::sequential(),
+    );
+    let (scan, crawl, pop) = (
+        batch.artifacts.scan(),
+        batch.artifacts.crawl(),
+        batch.artifacts.popularity(),
+    );
+    for (stage, blocks) in [
+        ("port_scan", vec![report::render_fig1(scan)]),
+        (
+            "crawl",
+            vec![
+                report::render_table1(crawl),
+                report::render_funnel_and_languages(crawl),
+                report::render_fig2(crawl),
+            ],
+        ),
+        (
+            "popularity",
+            vec![
+                report::render_table2(&pop.ranking, 30),
+                report::render_sec5(&pop.resolution, pop.requested_published_share),
+            ],
+        ),
+    ] {
+        let run = client.request(&format!("RUN_UNTIL {stage}")).unwrap();
+        assert!(run[1].starts_with("OK RUN"), "{run:?}");
+        let full = client.request(&format!("GET {stage} FULL")).unwrap();
+        let want: Vec<&str> = blocks.iter().flat_map(|b| b.lines()).collect();
+        assert_eq!(full[0], format!("OK GET {stage}"));
+        assert_eq!(full[full.len() - 1], ".");
+        assert_eq!(full[1..full.len() - 1], want[..], "GET {stage} FULL");
+    }
 }

@@ -9,23 +9,7 @@ use hs_landscape::{report, Study, StudyConfig};
 
 fn main() {
     // ~5 % of paper scale: finishes in seconds, preserves every shape.
-    let config = StudyConfig {
-        scale: 0.05,
-        relays: 300,
-        harvest: hs_landscape::hs_harvest::HarvestConfig {
-            fleet: hs_landscape::hs_harvest::FleetConfig {
-                ips: 12,
-                relays_per_ip: 12,
-                bandwidth: 300,
-            },
-            warmup_hours: 26,
-            rotation_hours: 2,
-        },
-        scan_days: 5,
-        traffic_clients: 150,
-        run_tracking: false,
-        ..StudyConfig::default()
-    };
+    let config = StudyConfig::at_scale(0.05);
 
     println!("Running the study at scale {} …\n", config.scale);
     let results = Study::new(config).run();

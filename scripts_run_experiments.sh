@@ -2,9 +2,10 @@
 # Regenerates every paper artifact at the given scale and stores the
 # outputs under results/ (used to fill EXPERIMENTS.md), or runs a gate.
 #
-#   sh scripts_run_experiments.sh          regenerate results/*.txt
-#   sh scripts_run_experiments.sh verify   fmt + clippy + study + faults + scale1 + sketch + daemon + perfbench
+#   sh scripts_run_experiments.sh          regenerate results/*.txt (scale HS_SCALE, default 0.25)
+#   sh scripts_run_experiments.sh verify   fmt + clippy + study + faults + experiments + scale1 + sketch + daemon + perfbench
 #   sh scripts_run_experiments.sh study    traced study at 1 and N threads vs its baselines
+#   sh scripts_run_experiments.sh experiments  every results/*.txt at scale 0.25 vs the committed files
 #   sh scripts_run_experiments.sh faults   adversarial fault-injection run
 #   sh scripts_run_experiments.sh scale1   paper-scale setup+harvest gate
 #   sh scripts_run_experiments.sh sketch   exact-vs-streaming sketch differential gate
@@ -94,6 +95,32 @@ stop_daemon() {
   DAEMON_PID=
 }
 
+# regenerate DIR SCALE: writes every artifact as DIR/<name>.txt, with
+# its stderr in DIR/<name>.log. The seven figure files are `landscape`
+# subcommands, run inside a scratch directory because the CLI writes
+# results/bench_stages.json under its working directory.
+regenerate() {
+  cargo build --release -q -p hs-landscape -p hs-bench --bin landscape \
+    --bin harvest_coverage --bin sec7_tracking --bin deanon_rate
+  bin="$(pwd)/target/release"
+  cwd=$(mktemp -d)
+  for pair in fig1_ports:fig1 table1_http:table1 fig2_topics:fig2 \
+              table2_popularity:table2 fig3_geomap:fig3 sec3_certs:certs sec5_stats:sec5; do
+    name=${pair%%:*}
+    cmd=${pair#*:}
+    echo "== landscape $cmd --scale $2 > $name.txt"
+    (cd "$cwd" && "$bin/landscape" "$cmd" --scale "$2") > "$1/$name.txt" 2> "$1/$name.log" \
+      || fail "landscape $cmd exited non-zero (see $1/$name.log)"
+  done
+  rm -rf "$cwd"
+  # Only harvest_coverage reads HS_SCALE.
+  for name in harvest_coverage sec7_tracking deanon_rate; do
+    echo "== $name"
+    HS_SCALE="$2" "$bin/$name" > "$1/$name.txt" 2> "$1/$name.log" \
+      || fail "$name exited non-zero (see $1/$name.log)"
+  done
+}
+
 if [ "${1:-}" = "verify" ]; then
   echo "== cargo fmt --check"
   cargo fmt --check
@@ -101,6 +128,7 @@ if [ "${1:-}" = "verify" ]; then
   cargo clippy --workspace --all-targets -- -D warnings
   sh "$0" study
   sh "$0" faults
+  sh "$0" experiments
   sh "$0" scale1
   sh "$0" sketch
   sh "$0" daemon
@@ -153,6 +181,21 @@ if [ "${1:-}" = "study" ]; then
   }'
   rm -rf "$RUN"
   echo "study ok"
+  exit 0
+fi
+if [ "${1:-}" = "experiments" ]; then
+  # Every committed results/<name>.txt, regenerated at scale 0.25 with
+  # the default seeds, must come back byte for byte. deanon_rate is
+  # the one run of the sequential Network::client_fetch path outside
+  # the unit tests.
+  RUN=$(mktemp -d)
+  regenerate "$RUN" 0.25
+  for current in "$RUN"/*.txt; do
+    name=$(basename "$current")
+    check_baseline cat "results/$name" "$current" "$name"
+  done
+  rm -rf "$RUN"
+  echo "experiments ok"
   exit 0
 fi
 if [ "${1:-}" = "daemon" ]; then
@@ -300,16 +343,6 @@ if [ "${1:-}" = "faults" ]; then
   echo "faults ok"
   exit 0
 fi
-SCALE="${HS_SCALE:-0.25}"
-export HS_SCALE="$SCALE"
 mkdir -p results
-for bin in fig1_ports table1_http fig2_topics table2_popularity fig3_geomap \
-           sec3_certs sec5_stats harvest_coverage; do
-  echo "== $bin (scale $SCALE)"
-  cargo run --release -q -p hs-bench --bin "$bin" > "results/$bin.txt" 2>"results/$bin.log" || true
-done
-echo "== sec7_tracking"
-cargo run --release -q -p hs-bench --bin sec7_tracking > results/sec7_tracking.txt 2>results/sec7_tracking.log || true
-echo "== deanon_rate"
-cargo run --release -q -p hs-bench --bin deanon_rate > results/deanon_rate.txt 2>results/deanon_rate.log || true
+regenerate results "${HS_SCALE:-0.25}"
 echo done
