@@ -8,8 +8,9 @@
 //! `scripts_run_experiments.sh scale1`:
 //!
 //! * **determinism** — every counter (descriptors harvested, requests
-//!   logged, hot-path quartet) is byte-identical across thread counts
-//!   and across machines; any drift is a regression;
+//!   logged, hot-path and round-work counters) is byte-identical
+//!   across thread counts and across machines; any drift is a
+//!   regression;
 //! * **budget** — the threaded wall-clock must stay under the
 //!   baseline's committed `budget_ms` (generous, so only a real
 //!   performance regression trips it).
@@ -38,6 +39,8 @@ fn counters(run: &PipelineRun) -> Vec<(&'static str, u64)> {
             run.timings.counter_total("desc_cache_misses"),
         ),
         ("fetches", run.timings.counter_total("fetches")),
+        ("publish_rows", run.timings.counter_total("publish_rows")),
+        ("votes", run.timings.counter_total("votes")),
     ]
 }
 

@@ -6,6 +6,8 @@ use hs_landscape::hs_world::calib;
 use hs_landscape::StageId;
 
 fn main() {
+    // Reject a bad `HS_SCALE` before printing anything.
+    let scale = hs_bench::bench_scale();
     println!("Sec. II — Harvest cost arithmetic");
     for hsdirs in [757u32, 1_400, 1_862] {
         println!(
@@ -41,7 +43,7 @@ fn main() {
         .count();
     println!(
         "\nMeasured sweep at scale {}: {} of {} publishing services collected ({:.1}%) in {} hours with {} relay instances",
-        hs_bench::bench_scale(),
+        scale,
         harvest.onion_count(),
         publishing,
         harvest.coverage_of(publishing) * 100.0,

@@ -1109,6 +1109,8 @@ fn stage_recorder(
                 ("cache_hits", r.hot.desc_cache_hits),
                 ("cache_misses", r.hot.desc_cache_misses),
                 ("fetches", r.hot.fetches),
+                ("publish_rows", r.hot.publish_rows),
+                ("votes", r.hot.votes),
             ],
         });
         if r.faults.total() > 0 {

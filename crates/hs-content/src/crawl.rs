@@ -9,6 +9,7 @@
 //! classification.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::LazyLock;
 
 use onion_crypto::onion::OnionAddress;
 use wave::{WavePool, WaveStats};
@@ -205,17 +206,37 @@ impl CrawlReport {
     }
 }
 
+/// The classifier pair every crawler uses. Both models are pure
+/// functions of the compiled-in lexicons and fixed seeds, so the first
+/// crawler of a process trains them and every later one shares them.
+static MODELS: LazyLock<(LanguageDetector, TopicClassifier)> = LazyLock::new(|| {
+    (
+        LanguageDetector::train_default(),
+        TopicClassifier::train_default(),
+    )
+});
+
 /// The crawler: fetches every destination, applies the funnel, runs
 /// the classifiers.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Crawler {
-    detector: LanguageDetector,
-    classifier: TopicClassifier,
+    detector: &'static LanguageDetector,
+    classifier: &'static TopicClassifier,
     config: CrawlConfig,
 }
 
+impl Default for Crawler {
+    fn default() -> Self {
+        Crawler {
+            detector: &MODELS.0,
+            classifier: &MODELS.1,
+            config: CrawlConfig::default(),
+        }
+    }
+}
+
 impl Crawler {
-    /// Creates a crawler with freshly trained classifiers and the
+    /// Creates a crawler with the process's trained classifiers and the
     /// fault-free default config.
     pub fn new() -> Self {
         Self::default()
@@ -479,6 +500,36 @@ mod tests {
         let crawler = Crawler::new();
         let report = crawler.run(&world, &destinations);
         (world, report, crawler)
+    }
+
+    #[test]
+    fn shared_models_score_pages_as_freshly_trained_ones() {
+        let world = World::generate(WorldConfig {
+            seed: 5,
+            scale: 0.02,
+        });
+        let texts: Vec<String> = world
+            .services()
+            .iter()
+            .filter_map(|s| s.render_page(80))
+            .map(|page| strip_tags(&page.body))
+            .filter(|text| word_count(text) >= 20)
+            .take(12)
+            .collect();
+        assert!(texts.len() >= 6, "only {} pages", texts.len());
+        let (detector, classifier) = (
+            LanguageDetector::train_default(),
+            TopicClassifier::train_default(),
+        );
+        let shared = Crawler::new();
+        for text in &texts {
+            assert_eq!(shared.detector.scores(text), detector.scores(text));
+            assert_eq!(shared.classifier.scores(text), classifier.scores(text));
+        }
+        assert!(
+            std::ptr::eq(shared.detector, Crawler::new().detector),
+            "one training per process"
+        );
     }
 
     #[test]

@@ -286,10 +286,7 @@ impl Scanner {
                     &mut fx,
                 );
                 let replies: Vec<PortReply> = if fetched.outcome == FetchOutcome::Found {
-                    ports_ref
-                        .iter()
-                        .map(|&port| world.connect(onion, port, now))
-                        .collect()
+                    world.connect_ports(onion, ports_ref, now)
                 } else {
                     Vec::new()
                 };

@@ -620,29 +620,51 @@ impl World {
         let u = stable_unit(self.config.seed, s.onion, now.days());
         u < s.daily_availability
     }
-}
 
-impl ServiceBackend for World {
-    fn connect(&self, onion: OnionAddress, port: u16, now: SimTime) -> PortReply {
-        let Some(s) = self.get(onion) else {
-            return PortReply::Timeout;
-        };
-        if !self.service_online(s, now) {
-            return PortReply::Timeout;
-        }
+    /// The service behind `onion` if it is online at `now`: a
+    /// connection reaches nothing else.
+    fn reachable(&self, onion: OnionAddress, now: SimTime) -> Option<&Service> {
+        self.get(onion).filter(|s| self.service_online(s, now))
+    }
+
+    /// The reply of the reachable service `s`, listening on `open`, to
+    /// a connection on `port`.
+    fn port_reply(&self, s: &Service, open: &[u16], port: u16) -> PortReply {
         // Persistent per-destination timeouts (~3 % of destinations), as
         // the paper reports.
-        if stable_unit(self.config.seed ^ 0x7107, onion, u64::from(port)) < 0.03 {
+        if stable_unit(self.config.seed ^ 0x7107, s.onion, u64::from(port)) < 0.03 {
             return PortReply::Timeout;
         }
         if port == SKYNET_PORT && s.is_skynet_bot() {
             return PortReply::AbnormalClose;
         }
-        if s.open_ports().contains(&port) {
+        if open.contains(&port) {
             PortReply::Open
         } else {
             PortReply::Closed
         }
+    }
+}
+
+impl ServiceBackend for World {
+    fn connect(&self, onion: OnionAddress, port: u16, now: SimTime) -> PortReply {
+        match self.reachable(onion, now) {
+            Some(s) => self.port_reply(s, &s.open_ports(), port),
+            None => PortReply::Timeout,
+        }
+    }
+
+    /// Looks the service up, decides its liveness and lists its open
+    /// ports once for all of `ports`.
+    fn connect_ports(&self, onion: OnionAddress, ports: &[u16], now: SimTime) -> Vec<PortReply> {
+        let Some(s) = self.reachable(onion, now) else {
+            return vec![PortReply::Timeout; ports.len()];
+        };
+        let open = s.open_ports();
+        ports
+            .iter()
+            .map(|&port| self.port_reply(s, &open, port))
+            .collect()
     }
 
     fn is_online(&self, onion: OnionAddress, now: SimTime) -> bool {
@@ -797,6 +819,37 @@ mod tests {
 
         let ghost = OnionAddress::from_pubkey(b"not in world");
         assert_eq!(w.connect(ghost, 80, now), PortReply::Timeout);
+    }
+
+    #[test]
+    fn connect_ports_equals_connect_per_port() {
+        let w = small_world();
+        let now = SimTime::from_ymd(2013, 2, 14);
+        let online = |s: &&Service| w.is_online(s.onion, now);
+        let pick = |pred: &dyn Fn(&&Service) -> bool| w.services().iter().find(pred).unwrap().onion;
+        let onions = [
+            pick(&|s| online(s) && !s.open_ports().is_empty()),
+            pick(&|s| !online(s)),
+            pick(&|s| online(s) && s.is_skynet_bot()),
+            pick(&|s| online(s) && matches!(s.role, Role::SkynetCc)),
+            OnionAddress::from_pubkey(b"not in world"),
+        ];
+        // Every port any service listens on, the Skynet port, decoys.
+        let mut ports: Vec<u16> = w.services().iter().flat_map(|s| s.open_ports()).collect();
+        ports.extend([SKYNET_PORT, 22, 6667, 80, 1, 65535]);
+        ports.sort_unstable();
+        ports.dedup();
+        for onion in onions {
+            let each: Vec<PortReply> = ports.iter().map(|&p| w.connect(onion, p, now)).collect();
+            assert_eq!(w.connect_ports(onion, &ports, now), each, "{onion}");
+            assert_eq!(w.connect_ports(onion, &[], now), Vec::new());
+        }
+        let replies = w.connect_ports(onions[0], &ports, now);
+        assert!(replies.contains(&PortReply::Open) && replies.contains(&PortReply::Closed));
+        assert!(w
+            .connect_ports(onions[1], &ports, now)
+            .iter()
+            .all(|&r| r == PortReply::Timeout));
     }
 
     #[test]

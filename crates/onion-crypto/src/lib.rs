@@ -61,7 +61,9 @@ mod proptests {
     use proptest::prelude::*;
 
     use crate::hsdesc::HsDescriptor;
-    use crate::{base32, sha1::Sha1, u160::U160, Digest, Fingerprint, Replica};
+    use crate::{
+        base32, sha1::Sha1, u160::U160, DescriptorId, Digest, Fingerprint, PermanentId, Replica,
+    };
 
     fn intro_points(raw: Vec<[u8; 20]>) -> Vec<Fingerprint> {
         raw.into_iter()
@@ -120,6 +122,38 @@ mod proptests {
         fn u160_ordering_matches_byte_ordering(a in any::<[u8; 20]>(), b in any::<[u8; 20]>()) {
             let (ua, ub) = (U160::from_bytes(&a), U160::from_bytes(&b));
             prop_assert_eq!(ua.cmp(&ub), a.cmp(&b));
+        }
+
+        /// Word-wise ordering equals byte ordering, for pairs that
+        /// share a prefix of any length (so every word boundary and
+        /// equality itself are exercised).
+        #[test]
+        fn word_ordering_matches_byte_ordering(
+            a in any::<[u8; 20]>(),
+            tail in any::<[u8; 20]>(),
+            shared in 0usize..21,
+        ) {
+            let mut b = a;
+            b[shared..].copy_from_slice(&tail[shared..]);
+            let (da, db) = (Digest::from_bytes(a), Digest::from_bytes(b));
+            prop_assert_eq!(da.cmp(&db), a.cmp(&b));
+            prop_assert_eq!(da.partial_cmp(&db), a.partial_cmp(&b));
+            prop_assert_eq!(
+                DescriptorId::from_digest(da).cmp(&DescriptorId::from_digest(db)),
+                a.cmp(&b)
+            );
+            prop_assert_eq!(
+                Fingerprint::from_digest(da).cmp(&Fingerprint::from_digest(db)),
+                a.cmp(&b)
+            );
+            let mut pa = [0u8; 10];
+            let mut pb = [0u8; 10];
+            pa.copy_from_slice(&a[..10]);
+            pb.copy_from_slice(&b[..10]);
+            let (ia, ib) = (PermanentId::from_bytes(pa), PermanentId::from_bytes(pb));
+            prop_assert_eq!(ia.cmp(&ib), pa.cmp(&pb));
+            prop_assert_eq!(ia.partial_cmp(&ib), pa.partial_cmp(&pb));
+            prop_assert_eq!(ia.to_onion().cmp(&ib.to_onion()), pa.cmp(&pb));
         }
 
         #[test]

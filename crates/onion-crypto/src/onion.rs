@@ -6,6 +6,7 @@
 //! *permanent identifier*, the value the descriptor-ID schedule of
 //! [`crate::descriptor`] is keyed on.
 
+use core::cmp::Ordering;
 use core::fmt;
 use std::str::FromStr;
 
@@ -20,8 +21,24 @@ pub const ONION_ADDR_LEN: usize = 16;
 
 /// The first 10 bytes of `SHA1(public key)`: a hidden service's permanent
 /// identifier.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Identifiers (and the onion addresses wrapping them) order as their
+/// bytes do, compared as two big-endian words instead of through
+/// `memcmp`: the service interner binary-searches on this order.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PermanentId(pub(crate) [u8; PERMANENT_ID_LEN]);
+
+impl Ord for PermanentId {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for PermanentId {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl PermanentId {
     /// Derives the permanent identifier from public-key bytes.
@@ -45,6 +62,15 @@ impl PermanentId {
     /// The first byte, used by the descriptor-ID time-period offset.
     pub fn byte0(&self) -> u8 {
         self.0[0]
+    }
+
+    /// The bytes as big-endian words, which order as the bytes do.
+    fn words(&self) -> (u64, u16) {
+        let [a0, a1, a2, a3, a4, a5, a6, a7, b0, b1] = self.0;
+        (
+            u64::from_be_bytes([a0, a1, a2, a3, a4, a5, a6, a7]),
+            u16::from_be_bytes([b0, b1]),
+        )
     }
 
     /// The onion address corresponding to this identifier.

@@ -21,6 +21,7 @@
 //! );
 //! ```
 
+use core::cmp::Ordering;
 use core::fmt;
 
 /// Length of a SHA-1 digest in bytes.
@@ -31,8 +32,25 @@ pub const DIGEST_LEN: usize = 20;
 /// The inner bytes are exposed through [`Digest::as_bytes`] and
 /// [`Digest::into_bytes`]; the type mainly exists so digests render as hex
 /// in debug output and can be compared/ordered as ring positions.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Digests order as their bytes do (big-endian, the ring order), but
+/// compare as three big-endian words instead of through `memcmp`: the
+/// sorted stores, the HSDir ring and the interner binary-search on
+/// this order in every round and fetch.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Digest(pub(crate) [u8; DIGEST_LEN]);
+
+impl Ord for Digest {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.words().cmp(&other.words())
+    }
+}
+
+impl PartialOrd for Digest {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Digest {
     /// Wraps raw digest bytes.
@@ -48,6 +66,17 @@ impl Digest {
     /// Consumes the digest, returning the raw bytes.
     pub fn into_bytes(self) -> [u8; DIGEST_LEN] {
         self.0
+    }
+
+    /// The bytes as big-endian words, which order as the bytes do.
+    fn words(&self) -> (u64, u64, u32) {
+        let [a0, a1, a2, a3, a4, a5, a6, a7, b0, b1, b2, b3, b4, b5, b6, b7, c0, c1, c2, c3] =
+            self.0;
+        (
+            u64::from_be_bytes([a0, a1, a2, a3, a4, a5, a6, a7]),
+            u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7]),
+            u32::from_be_bytes([c0, c1, c2, c3]),
+        )
     }
 
     /// Lowercase hexadecimal rendering of the digest.

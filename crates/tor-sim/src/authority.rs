@@ -141,6 +141,25 @@ impl Authority {
 
         Consensus::new(now, entries)
     }
+
+    /// The earliest time after `now` at which a running, reachable
+    /// relay's uptime reaches the HSDir or the Guard threshold. A vote
+    /// reads nothing else that changes with time: until then, relays in
+    /// the same state get the same consensus entries from
+    /// [`Authority::vote`]. `u64::MAX` seconds if no threshold lies
+    /// ahead.
+    pub(crate) fn flags_hold_until(&self, relays: &[Relay], now: SimTime) -> SimTime {
+        relays
+            .iter()
+            .filter(|r| r.running && r.reachable)
+            .flat_map(|r| {
+                [self.policy.hsdir_min_uptime, self.policy.guard_min_uptime]
+                    .map(|min| r.last_restart + min)
+            })
+            .filter(|&crossing| crossing > now)
+            .min()
+            .unwrap_or(SimTime::from_unix(u64::MAX))
+    }
 }
 
 fn median_bandwidth(relays: &[&Relay]) -> u64 {
@@ -265,6 +284,44 @@ mod tests {
         assert!(auth.earned_flags(&r, t0 + 48 * HOUR, 0).is_empty());
         let c = auth.vote(&[r], t0 + 48 * HOUR);
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn flags_hold_until_the_next_uptime_threshold() {
+        let auth = Authority::new();
+        let t0 = SimTime::from_ymd(2013, 1, 1);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut relays: Vec<Relay> = (0..3)
+            .map(|i| mk_relay(i, Ipv4::new(10, 0, i as u8, 1), 5000, t0, &mut rng))
+            .collect();
+        relays[1].last_restart = t0 - 20 * HOUR;
+        // A stopped relay's thresholds do not count.
+        relays[2].last_restart = t0 - 24 * HOUR;
+        relays[2].stop();
+        let until = auth.flags_hold_until(&relays, t0);
+        assert_eq!(until, t0 + 5 * HOUR, "relay 1 earns HSDir first");
+        let flags = |t: SimTime| -> Vec<RelayFlags> {
+            auth.vote(&relays, t)
+                .entries()
+                .iter()
+                .map(|e| e.flags)
+                .collect()
+        };
+        assert_eq!(flags(t0), flags(until - 1));
+        assert_ne!(flags(t0), flags(until));
+        // Past every HSDir threshold, the next one is the Guard's.
+        let later = t0 + 26 * HOUR;
+        assert_eq!(
+            auth.flags_hold_until(&relays, later),
+            t0 - 20 * HOUR + 8 * DAY
+        );
+        relays[0].last_restart = SimTime::EPOCH;
+        relays[1].last_restart = SimTime::EPOCH;
+        assert_eq!(
+            auth.flags_hold_until(&relays, later),
+            SimTime::from_unix(u64::MAX),
+            "no threshold lies ahead"
+        );
     }
 
     #[test]

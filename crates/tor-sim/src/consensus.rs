@@ -62,8 +62,10 @@ impl RingChange {
         {
             return false;
         }
+        let after = self
+            .joined
+            .partition_point(|j| j.digest() <= desc_id.digest());
         let pos = desc_id.to_u160();
-        let after = self.joined.partition_point(|j| j.to_u160() <= pos);
         // The first joined position after `desc_id` on the ring; every
         // other one lies further on.
         match self.joined.get(after).or(self.joined.first()) {
@@ -132,6 +134,13 @@ impl Consensus {
     /// The time this consensus became valid.
     pub fn valid_after(&self) -> SimTime {
         self.valid_after
+    }
+
+    /// Re-issues the consensus at `now` with the same entries: what a
+    /// vote over unchanged relays produces while no flag threshold is
+    /// crossed.
+    pub(crate) fn revalidate(&mut self, now: SimTime) {
+        self.valid_after = now;
     }
 
     /// All entries, in fingerprint order.
@@ -224,10 +233,11 @@ impl Consensus {
         if n == 0 {
             return 0;
         }
-        let pos = desc_id.to_u160();
+        // Digests order as ring positions do.
+        let pos = desc_id.digest();
         let start = self
             .hsdir_ring
-            .partition_point(|&i| self.entries[i].fingerprint.to_u160() <= pos);
+            .partition_point(|&i| self.entries[i].fingerprint.digest() <= pos);
         let count = HSDIRS_PER_REPLICA.min(n);
         for (k, slot) in out.iter_mut().take(count).enumerate() {
             *slot = self.entries[self.hsdir_ring[(start + k) % n]].relay;

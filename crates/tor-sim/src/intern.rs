@@ -202,19 +202,43 @@ impl ServiceInterner {
     }
 }
 
+/// Number of phase buckets: one per value of `PermanentId::byte0`, the
+/// only part of a service that `TimePeriod::at` reads.
+const PHASES: usize = 256;
+
 /// Struct-of-arrays table of all per-service network state, indexed by
 /// [`ServiceId`].
 ///
 /// Every column the `Network` hot paths touch per round — liveness,
 /// descriptor-ID cache, slot-hour coverage, armed traffic signatures —
 /// is a dense `Vec` here, grown (never shrunk) as addresses intern.
+///
+/// The table also keeps a round's *agenda* (see [`ServiceTable::agenda`]):
+/// registered rows grouped by rotation phase, so a round finds the rows
+/// whose period rotated without visiting the rest, and the rows whose
+/// liveness was set since the previous round.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceTable {
     interner: ServiceInterner,
     /// `Some(online)` for registered services, `None` for phantoms.
     online: Vec<Option<bool>>,
-    /// Logging-relay slot-hour coverage accumulated per service.
+    /// Logging-relay slot-hour coverage per service, settled up to
+    /// coverage hour `settled_at` (see [`ServiceTable::slot_hours`]).
     slot_hours: Vec<u64>,
+    /// The logging slots of each row's placement (0 while it has none):
+    /// the slot-hours the row earns per recorded coverage hour.
+    rates: Vec<u8>,
+    /// The coverage-hour count at which each row's `slot_hours` was
+    /// last settled.
+    settled_at: Vec<u32>,
+    /// Coverage hours recorded so far.
+    coverage_hours: u32,
+    /// Registered rows by `PermanentId::byte0`, each bucket in
+    /// registration order (empty until the first registration).
+    phases: Vec<Vec<u32>>,
+    /// Rows registered, or whose liveness changed, since the previous
+    /// round's agenda was taken.
+    dirty: Vec<u32>,
     /// Per-period descriptor-ID pair cache.
     desc_cache: Vec<Option<DescPair>>,
     /// Each service's latest publish round (`None` if it uploaded
@@ -237,6 +261,8 @@ impl ServiceTable {
         if self.online.len() < rows {
             self.online.resize(rows, None);
             self.slot_hours.resize(rows, 0);
+            self.rates.resize(rows, 0);
+            self.settled_at.resize(rows, 0);
             self.desc_cache.resize(rows, None);
             self.placements.resize(rows, None);
             self.signatures.resize(rows, None);
@@ -261,21 +287,55 @@ impl ServiceTable {
         self.interner.flush();
     }
 
-    /// Registers (or re-registers) a hidden service.
+    /// Registers (or re-registers) a hidden service. The next round
+    /// visits its row.
     pub fn register(&mut self, onion: OnionAddress, online: bool) {
         let id = self.intern(onion);
+        if self.online[id.index()].is_none() {
+            if self.phases.is_empty() {
+                self.phases.resize_with(PHASES, Vec::new);
+            }
+            self.phases[usize::from(onion.permanent_id().byte0())].push(id.0);
+        }
         self.online[id.index()] = Some(online);
+        self.dirty.push(id.0);
     }
 
     /// Sets a registered service's liveness; phantoms are left alone.
+    /// The next round visits the row if its liveness changed.
     pub fn set_online(&mut self, onion: OnionAddress, online: bool) {
         if let Some(id) = self.get(onion) {
             if let Some(state) = self.online.get_mut(id.index()) {
-                if state.is_some() {
+                if state.is_some_and(|was| was != online) {
                     *state = Some(online);
+                    self.dirty.push(id.0);
                 }
             }
         }
+    }
+
+    /// Fills `out` with the rows a round visits, in row order, and
+    /// empties the dirty list. A full walk visits every registered
+    /// row. Otherwise the round visits the rows registered or flipped
+    /// since the previous round, plus the registered rows of every
+    /// phase (`PermanentId::byte0`) for which `rotated` holds.
+    pub(crate) fn agenda(&mut self, full: bool, rotated: impl Fn(u8) -> bool, out: &mut Vec<u32>) {
+        out.clear();
+        if full {
+            out.extend(
+                (0..self.online.len() as u32).filter(|&row| self.online[row as usize].is_some()),
+            );
+        } else {
+            out.extend_from_slice(&self.dirty);
+            for (phase, rows) in (0..=u8::MAX).zip(&self.phases) {
+                if rotated(phase) {
+                    out.extend_from_slice(rows);
+                }
+            }
+            out.sort_unstable();
+            out.dedup();
+        }
+        self.dirty.clear();
     }
 
     /// A registered service's liveness (`None` for phantoms).
@@ -311,11 +371,6 @@ impl ServiceTable {
         self.desc_cache[id.index()] = Some(pair);
     }
 
-    /// Number of rows (registered services and phantoms).
-    pub(crate) fn len(&self) -> usize {
-        self.online.len()
-    }
-
     /// A row's latest placement, if it uploaded anything.
     pub(crate) fn placement(&self, id: ServiceId) -> Option<Placement> {
         self.placements[id.index()]
@@ -330,26 +385,39 @@ impl ServiceTable {
         std::mem::replace(&mut self.placements[id.index()], placement)
     }
 
-    /// Accumulated slot-hours of a row.
+    /// Accumulated slot-hours of a row: what it had when last settled,
+    /// plus its rate for every coverage hour recorded since.
     pub fn slot_hours(&self, id: ServiceId) -> u64 {
-        self.slot_hours[id.index()]
+        let i = id.index();
+        let unsettled = self.coverage_hours - self.settled_at[i];
+        self.slot_hours[i] + u64::from(self.rates[i]) * u64::from(unsettled)
     }
 
-    /// Adds logging-slot coverage to a row.
-    pub fn add_slot_hours(&mut self, id: ServiceId, slots: u64) {
-        self.slot_hours[id.index()] += slots;
+    /// Sets the logging slots a row earns per coverage hour from now
+    /// on, settling what it earned at its old rate first.
+    pub(crate) fn set_rate(&mut self, id: ServiceId, rate: u8) {
+        let i = id.index();
+        if self.rates[i] != rate {
+            self.slot_hours[i] = self.slot_hours(id);
+            self.settled_at[i] = self.coverage_hours;
+            self.rates[i] = rate;
+        }
+    }
+
+    /// Records one coverage hour: every row earns its current rate.
+    pub(crate) fn record_coverage_hour(&mut self) {
+        self.coverage_hours += 1;
     }
 
     /// The full nonzero slot-hour table, sorted by onion address — the
     /// deterministic view callers get instead of a `HashMap` borrow.
     pub fn slot_hours_sorted(&self) -> Vec<(OnionAddress, u64)> {
-        let mut out: Vec<(OnionAddress, u64)> = self
-            .interner
-            .onions
-            .iter()
-            .zip(&self.slot_hours)
-            .filter(|&(_, &hours)| hours > 0)
-            .map(|(&onion, &hours)| (onion, hours))
+        let mut out: Vec<(OnionAddress, u64)> = (0..self.interner.len())
+            .map(|row| {
+                let id = ServiceId(row as u32);
+                (self.onion(id), self.slot_hours(id))
+            })
+            .filter(|&(_, hours)| hours > 0)
             .collect();
         out.sort_unstable_by_key(|&(onion, _)| onion);
         out
@@ -476,13 +544,56 @@ mod tests {
         }
         let a = t.get(onion(9)).unwrap();
         let c = t.get(onion(6)).unwrap();
-        t.add_slot_hours(a, 4);
-        t.add_slot_hours(c, 2);
+        t.set_rate(a, 2);
+        t.set_rate(c, 1);
+        t.record_coverage_hour();
+        t.record_coverage_hour();
+        // A rate change settles what the row earned at its old rate.
+        t.set_rate(a, 0);
+        t.record_coverage_hour();
+        assert_eq!((t.slot_hours(a), t.slot_hours(c)), (4, 3));
         let rows = t.slot_hours_sorted();
         assert_eq!(rows.len(), 2, "zero rows are omitted");
         assert!(rows[0].0 < rows[1].0, "sorted by onion address");
         let total: u64 = rows.iter().map(|&(_, h)| h).sum();
-        assert_eq!(total, 6);
+        assert_eq!(total, 7);
+    }
+
+    #[test]
+    fn agenda_visits_dirty_and_rotated_rows_in_row_order() {
+        let mut t = ServiceTable::default();
+        let phantom = t.intern(onion(0));
+        for k in 1..=6u8 {
+            t.register(onion(k), k % 2 == 0);
+        }
+        let mut agenda = Vec::new();
+        t.agenda(false, |_| false, &mut agenda);
+        assert_eq!(agenda, vec![1, 2, 3, 4, 5, 6], "registrations are dirty");
+        t.agenda(false, |_| false, &mut agenda);
+        assert!(
+            agenda.is_empty(),
+            "taking the agenda empties the dirty list"
+        );
+
+        // Only a change of liveness makes a row dirty.
+        t.set_online(onion(2), true);
+        t.set_online(onion(3), true);
+        t.set_online(onion(0), true);
+        let phase = |k: u8| onion(k).permanent_id().byte0();
+        let rotated = [phase(5), phase(1)];
+        t.agenda(false, |p| rotated.contains(&p), &mut agenda);
+        // Row k holds onion(k): the dirty row, then each rotated
+        // phase's rows, merged into row order without repeats.
+        let want: Vec<u32> = (1..=6u8)
+            .filter(|&k| k == 3 || rotated.contains(&phase(k)))
+            .map(u32::from)
+            .collect();
+        assert_eq!(agenda, want);
+        assert!(want.len() >= 3);
+        // A full walk visits every registered row, never a phantom.
+        t.agenda(true, |_| false, &mut agenda);
+        assert_eq!(agenda, vec![1, 2, 3, 4, 5, 6]);
+        assert!(!agenda.contains(&phantom.0));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use onion_crypto::descriptor::{
     DaySecretParts, DescriptorId, Replica, TimePeriod, HSDIRS_PER_REPLICA, REPLICAS,
 };
 use onion_crypto::identity::SimIdentity;
-use onion_crypto::onion::{OnionAddress, PermanentId};
+use onion_crypto::onion::{OnionAddress, PermanentId, PERMANENT_ID_LEN};
 
 use crate::authority::Authority;
 use crate::cells::TrafficSignature;
@@ -261,6 +261,12 @@ pub struct HotPathCounters {
     pub desc_cache_misses: u64,
     /// Client descriptor fetches attempted (per descriptor ID).
     pub fetches: u64,
+    /// Registered service rows that consensus rounds visited to
+    /// publish: each round's agenda (a full walk visits every row).
+    pub publish_rows: u64,
+    /// Fresh authority votes: the network's build, and every round that
+    /// could not reuse the current consensus.
+    pub votes: u64,
 }
 
 impl HotPathCounters {
@@ -271,6 +277,8 @@ impl HotPathCounters {
             desc_cache_hits: self.desc_cache_hits - earlier.desc_cache_hits,
             desc_cache_misses: self.desc_cache_misses - earlier.desc_cache_misses,
             fetches: self.fetches - earlier.fetches,
+            publish_rows: self.publish_rows - earlier.publish_rows,
+            votes: self.votes - earlier.votes,
         }
     }
 
@@ -281,12 +289,18 @@ impl HotPathCounters {
         reg.inc("desc_cache_hits", self.desc_cache_hits);
         reg.inc("desc_cache_misses", self.desc_cache_misses);
         reg.inc("fetches", self.fetches);
+        reg.inc("publish_rows", self.publish_rows);
+        reg.inc("votes", self.votes);
     }
 
-    /// Total work items across all categories (used for trace span
-    /// weights).
+    /// Total work items across all categories.
     pub fn total(self) -> u64 {
-        self.sha1_digests + self.desc_cache_hits + self.desc_cache_misses + self.fetches
+        self.sha1_digests
+            + self.desc_cache_hits
+            + self.desc_cache_misses
+            + self.fetches
+            + self.publish_rows
+            + self.votes
     }
 }
 
@@ -304,6 +318,17 @@ pub struct RoundTrace {
     pub hot: HotPathCounters,
     /// Faults injected since the previous recorded round.
     pub faults: FaultCounters,
+}
+
+/// What a consensus round saw, kept so the next round can tell which
+/// service rows it must visit.
+#[derive(Clone, Debug)]
+struct LastRound {
+    time: SimTime,
+    /// Whether a fault plan was active.
+    faults_active: bool,
+    /// Every relay's `logging` flag, in relay order.
+    logging: Vec<bool>,
 }
 
 /// Snapshot marks for the round recorder.
@@ -376,6 +401,21 @@ pub struct Network {
     /// Per-relay buffers of the uploads that are new this round,
     /// reused round to round.
     new_uploads: Vec<Vec<StoredDescriptor>>,
+    /// The rows a round visits, a buffer reused round to round.
+    agenda: Vec<u32>,
+    /// The previous round, for this round's agenda; `None` before the
+    /// first round and after a descriptor-cache toggle, so the next
+    /// round walks every row.
+    last_round: Option<LastRound>,
+    /// Bumped by everything that can change the relays a vote reads:
+    /// [`Network::relay_mut`], [`Network::add_relay`] and every round
+    /// with an active fault plan (its crashes and restarts).
+    relay_epoch: u64,
+    /// The relay epoch the consensus was last voted afresh at, and the
+    /// time from which a relay's uptime crosses a flag threshold
+    /// ([`Authority::flags_hold_until`]). Until then, with the epoch
+    /// unchanged, a vote would list exactly the same entries.
+    voted: (u64, SimTime),
     rng: StdRng,
 }
 
@@ -411,6 +451,7 @@ impl Network {
     ///
     /// Panics if `id` is out of range.
     pub fn relay_mut(&mut self, id: RelayId) -> &mut Relay {
+        self.relay_epoch += 1;
         &mut self.relays[id.0]
     }
 
@@ -460,13 +501,14 @@ impl Network {
         relay.operator = operator;
         relay.logging = operator != Operator::Honest;
         self.relays.push(relay);
+        self.relay_epoch += 1;
         self.stores.push(DescriptorStore::new());
         self.logs.push(RequestLog::new());
         id
     }
 
     /// Registers a hidden service. `online` services publish descriptors
-    /// at every consensus round.
+    /// from the next consensus round on.
     pub fn register_service(&mut self, onion: OnionAddress, online: bool) {
         self.svc.register(onion, online);
     }
@@ -536,20 +578,44 @@ impl Network {
     fn step(&mut self) {
         self.svc.flush();
         self.refresh_day_parts();
-        if !self.faults.is_inert() {
+        let faults_active = !self.faults.is_inert();
+        if faults_active {
             // Relay-level faults apply before the vote so the consensus
             // reflects this round's crashes and restarts.
             self.faults.on_round(&mut self.relays, self.time);
+            self.relay_epoch += 1;
         }
-        let consensus = self.authority.vote(&self.relays, self.time);
-        if let Some(change) = consensus.hsdir_ring_change(&self.consensus) {
-            self.ring_generation = self.ring_generation.wrapping_add(1);
-            self.ring_change = change;
-        }
-        self.consensus = consensus;
-        self.publish_descriptors();
+        let ring_moved = self.vote();
+        self.publish_descriptors(ring_moved, faults_active);
         self.refresh_signature_index();
         self.record_round();
+    }
+
+    /// The round's consensus. While no relay changed since the last
+    /// fresh vote and no relay's uptime crossed a flag threshold, a
+    /// vote would list exactly the current entries, so the consensus is
+    /// only moved to the current time. Otherwise the authority votes
+    /// afresh. Returns whether the HSDir ring moved.
+    fn vote(&mut self) -> bool {
+        let (epoch, until) = self.voted;
+        if epoch == self.relay_epoch && self.time < until {
+            self.consensus.revalidate(self.time);
+            return false;
+        }
+        let consensus = self.authority.vote(&self.relays, self.time);
+        self.hot.votes += 1;
+        self.voted = (
+            self.relay_epoch,
+            self.authority.flags_hold_until(&self.relays, self.time),
+        );
+        let change = consensus.hsdir_ring_change(&self.consensus);
+        self.consensus = consensus;
+        let Some(change) = change else {
+            return false;
+        };
+        self.ring_generation = self.ring_generation.wrapping_add(1);
+        self.ring_change = change;
+        true
     }
 
     /// Recomputes the day's secret-ID parts once the clock has left the
@@ -581,27 +647,60 @@ impl Network {
         }
     }
 
-    /// Publishes both descriptor replicas of every online service to its
-    /// responsible HSDirs, records slot-hour coverage (at most once per
-    /// hour) for logging relays, then runs store maintenance.
+    /// Publishes both descriptor replicas of the round's online services
+    /// to their responsible HSDirs, records slot-hour coverage (at most
+    /// once per hour) for logging relays, then runs store maintenance.
     ///
-    /// A round writes only what changed. Every online service probes
-    /// the per-period descriptor-ID cache, so its hits, misses and SHA-1
-    /// work are counted every round. A service whose [`Placement`] still
-    /// holds — the same period, computed with faults inert and faults
-    /// still inert, and a ring that still puts its IDs on the same
-    /// HSDirs ([`ring_holds`]) — then does no ring lookup and no store
-    /// write: its live entries read as published at this round. Any
-    /// other service places its uploads afresh ([`place_uploads`]) and
-    /// diffs them against its previous placement. Uploads that stopped
-    /// are retired: they keep the previous round's time and expire 24 h
-    /// later. New uploads go into one merge per store. A service that
-    /// went offline retires all of its uploads.
-    fn publish_descriptors(&mut self) {
+    /// A round visits only the rows whose uploads can have changed: its
+    /// agenda ([`ServiceTable::agenda`]). Those are the rows whose
+    /// period rotated since the previous round, found by phase bucket,
+    /// and the rows registered or flipped since then. Every registered
+    /// row is visited instead (a full walk) when the ring moved this
+    /// round, when a fault plan is active now or was at the previous
+    /// round, when a relay's `logging` flag differs from the previous
+    /// round's, after a descriptor-cache toggle, and in the first
+    /// round. Any other row still has its previous round's placement,
+    /// period and slot relays, so visiting it would change nothing.
+    ///
+    /// A visited online row probes the per-period descriptor-ID cache.
+    /// If its [`Placement`] still holds — the same period, computed
+    /// with faults inert and faults still inert, and a ring that still
+    /// puts its IDs on the same HSDirs ([`ring_holds`]) — it does no
+    /// ring lookup and no store write: its live entries read as
+    /// published at this round. Otherwise it places its uploads afresh
+    /// ([`place_uploads`]) and diffs them against its previous
+    /// placement. Uploads that stopped are retired: they keep the
+    /// previous round's time and expire 24 h later. New uploads go
+    /// into one merge per store. A visited offline row retires all of
+    /// its uploads.
+    ///
+    /// Slot-hours accrue lazily: a visited row sets its rate, the
+    /// logging slots of its placement, and every row earns its rate in
+    /// each recorded coverage hour.
+    fn publish_descriptors(&mut self, ring_moved: bool, faults_active: bool) {
         let time = self.time;
         let hour = time.hours();
         let record_coverage = self.coverage_recorded_hour != Some(hour);
-        let faults_active = !self.faults.is_inert();
+        let full = ring_moved
+            || faults_active
+            || self.last_round.as_ref().is_none_or(|last| {
+                last.faults_active
+                    || !last
+                        .logging
+                        .iter()
+                        .copied()
+                        .eq(self.relays.iter().map(|r| r.logging))
+            });
+        let last_time = self.last_round.as_ref().map(|last| last.time.unix());
+        let rotated = |phase: u8| {
+            let mut id = [0; PERMANENT_ID_LEN];
+            id[0] = phase;
+            let id = PermanentId::from_bytes(id);
+            last_time
+                .is_some_and(|last| TimePeriod::at(last, id) != TimePeriod::at(time.unix(), id))
+        };
+        self.svc.agenda(full, rotated, &mut self.agenda);
+        self.hot.publish_rows += self.agenda.len() as u64;
         let Network {
             svc,
             hot,
@@ -614,28 +713,25 @@ impl Network {
             day_parts,
             ring_generation,
             ring_change,
+            agenda,
             ..
         } = &mut *self;
         if new_uploads.len() < relays.len() {
             new_uploads.resize_with(relays.len(), Vec::new);
         }
         let parts = desc_cache_enabled.then_some(&*day_parts);
-        for row in 0..svc.len() {
-            let sid = ServiceId(row as u32);
-            match svc.is_online(sid) {
-                Some(true) => {}
-                Some(false) => {
-                    // Retirement stamps the previous round's time, so it
-                    // runs before the stores are stamped with this one.
-                    if let Some(old) = svc.replace_placement(sid, None) {
-                        for (relay, id) in old.uploads() {
-                            stores[relay].retire(id);
-                        }
+        for &row in agenda.iter() {
+            let sid = ServiceId(row);
+            if svc.is_online(sid) != Some(true) {
+                // Retirement stamps the previous round's time, so it
+                // runs before the stores are stamped with this one.
+                if let Some(old) = svc.replace_placement(sid, None) {
+                    for (relay, id) in old.uploads() {
+                        stores[relay].retire(id);
                     }
-                    continue;
                 }
-                // A phantom row never publishes, so it has no placement.
-                None => continue,
+                svc.set_rate(sid, 0);
+                continue;
             }
             let (period, ids) = pair_for(svc, hot, parts, sid, time.unix());
             let placement = match svc.placement(sid) {
@@ -679,14 +775,12 @@ impl Network {
                     p
                 }
             };
-            if record_coverage {
-                // Slot coverage is derived from public consensuses
-                // (responsibility), so a dropped upload still counts
-                // the slot — matching what the attacker's normalisation
-                // could actually observe.
-                let logging = placement.relays().filter(|&r| relays[r].logging).count();
-                svc.add_slot_hours(sid, logging as u64);
-            }
+            // Slot coverage is derived from public consensuses
+            // (responsibility), so a dropped upload still counts the
+            // slot — matching what the attacker's normalisation could
+            // actually observe.
+            let logging = placement.relays().filter(|&r| relays[r].logging).count();
+            svc.set_rate(sid, logging as u8);
         }
         // Expiry never drops this round's uploads: live entries read as
         // published now once the store is stamped.
@@ -697,8 +791,20 @@ impl Network {
             fresh.clear();
         }
         if record_coverage {
+            // Counted after the loop, so a re-placed row earns its new
+            // placement's slots for this hour.
+            svc.record_coverage_hour();
             self.coverage_recorded_hour = Some(hour);
         }
+        let last = self.last_round.get_or_insert_with(|| LastRound {
+            time,
+            faults_active,
+            logging: Vec::new(),
+        });
+        last.time = time;
+        last.faults_active = faults_active;
+        last.logging.clear();
+        last.logging.extend(self.relays.iter().map(|r| r.logging));
     }
 
     /// Re-indexes armed signature targets whose descriptor IDs rotated
@@ -899,6 +1005,8 @@ impl Network {
     pub fn set_desc_cache_enabled(&mut self, enabled: bool) {
         self.desc_cache_enabled = enabled;
         self.svc.clear_runtime_caches();
+        // The cleared cache is refilled by the next round's full walk.
+        self.last_round = None;
         self.refresh_day_parts();
         if enabled {
             let targets: Vec<ServiceId> = self.svc.armed_ids().collect();
@@ -1652,6 +1760,7 @@ impl NetworkBuilder {
 
         let authority = Authority::new();
         let consensus = authority.vote(&relays, self.start);
+        let flags_hold_until = authority.flags_hold_until(&relays, self.start);
         let n = relays.len();
         Network {
             time: self.start,
@@ -1667,6 +1776,7 @@ impl NetworkBuilder {
             coverage_recorded_hour: None,
             hot: HotPathCounters {
                 sha1_digests: DaySecretParts::DIGESTS,
+                votes: 1,
                 ..HotPathCounters::default()
             },
             desc_cache_enabled: true,
@@ -1676,6 +1786,10 @@ impl NetworkBuilder {
             ring_generation: 0,
             ring_change: RingChange::default(),
             new_uploads: Vec::new(),
+            agenda: Vec::new(),
+            last_round: None,
+            relay_epoch: 0,
+            voted: (0, flags_hold_until),
             rng: StdRng::seed_from_u64(self.seed ^ 0x00c1_1e77_5eed),
         }
     }
@@ -1990,31 +2104,41 @@ mod tests {
         for &o in &onions {
             net.register_service(o, true);
         }
-        let counts = |sha1_digests, desc_cache_hits, desc_cache_misses| HotPathCounters {
+        let counts = |sha1_digests, desc_cache_misses, publish_rows| HotPathCounters {
             sha1_digests,
-            desc_cache_hits,
             desc_cache_misses,
-            fetches: 0,
+            publish_rows,
+            ..HotPathCounters::default()
         };
-        // The build's day parts, then two SHA-1s per derived pair.
+        // The build's day parts and vote, then two SHA-1s per derived
+        // pair. Every relay is past every flag threshold, so no round
+        // of this test votes afresh.
         net.advance_hours(1);
-        assert_eq!(net.hot_counters(), counts(4 + 20, 0, 10));
+        assert_eq!(
+            net.hot_counters(),
+            HotPathCounters {
+                votes: 1,
+                ..counts(4 + 20, 10, 10)
+            }
+        );
         // The reference path: four SHA-1s per lookup, nothing cached.
+        // The toggle makes the next round visit every row; the one
+        // after visits none, because no period rotates.
         net.set_desc_cache_enabled(false);
         let before = net.hot_counters();
         net.advance_hours(2);
-        assert_eq!(net.hot_counters().since(before), counts(80, 0, 0));
+        assert_eq!(net.hot_counters().since(before), counts(40, 0, 10));
         // Still the same day, so re-enabling reuses its parts.
         net.set_desc_cache_enabled(true);
         let before = net.hot_counters();
         net.advance_hours(1);
-        assert_eq!(net.hot_counters().since(before), counts(20, 0, 10));
+        assert_eq!(net.hot_counters().since(before), counts(20, 10, 10));
         let before = net.hot_counters();
         net.advance_hours(1);
         assert_eq!(
             net.hot_counters().since(before),
-            counts(0, 10, 0),
-            "a reused placement still probes the cache"
+            counts(0, 0, 0),
+            "an idle row is not visited, so it does not probe the cache"
         );
         for &o in &onions {
             for (relay, id) in responsible_pairs(&net, o) {

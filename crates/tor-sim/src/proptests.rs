@@ -2,7 +2,7 @@
 
 #![cfg(test)]
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -96,57 +96,176 @@ fn field_spans(doc: &str) -> Vec<(usize, usize)> {
 /// every round it expires each store at 24 h and then uploads every
 /// online service's descriptors to all of its responsible HSDirs
 /// afresh, minus the uploads fault injection drops — the publication
-/// rule with nothing carried over between rounds.
+/// rule with nothing carried over between rounds — and adds every
+/// online service's logging slots to its slot-hours in each hour it
+/// records coverage, from the current `logging` flags.
+///
+/// It also predicts the network's round work from its own view of the
+/// previous round: which services the agenda visits (and so probe the
+/// descriptor-ID cache), and when the authority votes afresh.
 struct EagerPublisher {
     /// Per relay: descriptor ID → (onion, publication time).
     stores: Vec<BTreeMap<DescriptorId, (OnionAddress, SimTime)>>,
+    /// Slot-hours per service.
+    slot_hours: HashMap<OnionAddress, u64>,
+    /// The hour whose coverage was recorded last.
+    recorded_hour: Option<u64>,
     /// The period each service's descriptor-ID pair was last derived in.
     cached: HashMap<OnionAddress, TimePeriod>,
+    /// Whether the descriptor-ID cache is on.
+    cache_enabled: bool,
     /// The day whose secret-ID parts the network holds.
     day: u64,
+    /// The previous round; `None` before the first round and after a
+    /// cache toggle.
+    prev: Option<PrevRound>,
+    /// Services registered or flipped since the previous round.
+    dirty: HashSet<OnionAddress>,
+    /// When the authority last voted afresh.
+    voted_at: SimTime,
+    /// Whether a relay was edited or added since then.
+    relays_changed: bool,
     hot: HotPathCounters,
     publish_drops: u64,
 }
 
+/// What [`EagerPublisher`] saw at a round.
+struct PrevRound {
+    time: SimTime,
+    /// The HSDir ring as (fingerprint, relay) positions.
+    ring: Vec<(Fingerprint, RelayId)>,
+    faults_active: bool,
+    /// Every relay's `logging` flag.
+    logging: Vec<bool>,
+}
+
 impl EagerPublisher {
     /// A publisher for a freshly built `net`, which computed the
-    /// secret-ID parts of its start day.
-    fn new(net: &Network) -> Self {
+    /// secret-ID parts of its start day and voted once; every service
+    /// in `services` is registered before the first round.
+    fn new(net: &Network, services: &[(OnionAddress, bool)]) -> Self {
         EagerPublisher {
             stores: Vec::new(),
+            slot_hours: HashMap::new(),
+            recorded_hour: None,
             cached: HashMap::new(),
+            cache_enabled: true,
             day: net.time().unix() / DAY,
+            prev: None,
+            dirty: services.iter().map(|&(onion, _)| onion).collect(),
+            voted_at: net.time(),
+            relays_changed: false,
             hot: HotPathCounters {
                 sha1_digests: 4,
+                votes: 1,
                 ..HotPathCounters::default()
             },
             publish_drops: 0,
         }
     }
 
-    /// Replays the round `net` just ran.
-    fn round(&mut self, net: &Network, services: &[(OnionAddress, bool)]) {
-        let now = net.time();
-        // A round on a new day computes that day's secret-ID parts.
-        if now.unix() / DAY != self.day {
+    /// The network holds a day's secret-ID parts while the cache is on,
+    /// computing them (four SHA-1s) whenever the day changes.
+    fn refresh_day(&mut self, now: SimTime) {
+        if self.cache_enabled && now.unix() / DAY != self.day {
             self.day = now.unix() / DAY;
             self.hot.sha1_digests += 4;
         }
-        self.stores.resize(net.relays().len(), BTreeMap::new());
-        for store in &mut self.stores {
-            store.retain(|_, &mut (_, published)| now.since(published) < DAY);
+    }
+
+    /// Mirrors `Network::set_desc_cache_enabled(enabled)`.
+    fn set_cache(&mut self, net: &Network, enabled: bool) {
+        self.cache_enabled = enabled;
+        self.cached.clear();
+        self.prev = None;
+        self.refresh_day(net.time());
+    }
+
+    /// Replays the round `net` just ran.
+    fn round(&mut self, net: &Network, services: &[(OnionAddress, bool)]) {
+        let now = net.time();
+        let faults_active = !net.fault_plan().is_inert();
+        self.refresh_day(now);
+        // The authority votes afresh when a relay changed, when a fault
+        // plan may have crashed or restarted one, or when a running,
+        // reachable relay's uptime crossed a flag threshold since the
+        // last fresh vote; otherwise the entries would be the same.
+        let policy = crate::authority::AuthorityPolicy::default();
+        let crossed = net
+            .relays()
+            .iter()
+            .filter(|r| r.running && r.reachable)
+            .flat_map(|r| {
+                [policy.hsdir_min_uptime, policy.guard_min_uptime].map(|min| r.last_restart + min)
+            })
+            .any(|crossing| self.voted_at < crossing && crossing <= now);
+        if self.relays_changed || faults_active || crossed {
+            self.hot.votes += 1;
+            self.voted_at = now;
+            self.relays_changed = false;
         }
-        for &(onion, _) in services.iter().filter(|&&(_, online)| online) {
-            let period = TimePeriod::at(now.unix(), onion.permanent_id());
-            if self.cached.insert(onion, period) == Some(period) {
+
+        // The agenda: every service on a full walk, else the ones
+        // flipped since the previous round and the ones whose period
+        // rotated since then.
+        let seen = PrevRound {
+            time: now,
+            ring: net
+                .consensus()
+                .hsdirs()
+                .map(|e| (e.fingerprint, e.relay))
+                .collect(),
+            faults_active,
+            logging: net.relays().iter().map(|r| r.logging).collect(),
+        };
+        let full = self.prev.as_ref().is_none_or(|prev| {
+            prev.ring != seen.ring
+                || faults_active
+                || prev.faults_active
+                || prev.logging != seen.logging
+        });
+        let period =
+            |t: SimTime, onion: OnionAddress| TimePeriod::at(t.unix(), onion.permanent_id());
+        for &(onion, online) in services {
+            let visited = full
+                || self.dirty.contains(&onion)
+                || self
+                    .prev
+                    .as_ref()
+                    .is_some_and(|prev| period(prev.time, onion) != period(now, onion));
+            if !visited {
+                continue;
+            }
+            self.hot.publish_rows += 1;
+            if !online {
+                continue;
+            }
+            if !self.cache_enabled {
+                // Both SHA-1s of both replicas, nothing cached.
+                self.hot.sha1_digests += 4;
+            } else if self.cached.insert(onion, period(now, onion)) == Some(period(now, onion)) {
                 self.hot.desc_cache_hits += 1;
             } else {
                 // One SHA-1 per replica on the day's parts.
                 self.hot.desc_cache_misses += 1;
                 self.hot.sha1_digests += 2;
             }
+        }
+        self.prev = Some(seen);
+        self.dirty.clear();
+
+        self.stores.resize(net.relays().len(), BTreeMap::new());
+        for store in &mut self.stores {
+            store.retain(|_, &mut (_, published)| now.since(published) < DAY);
+        }
+        let record_coverage = self.recorded_hour != Some(now.hours());
+        self.recorded_hour = Some(now.hours());
+        for &(onion, _) in services.iter().filter(|&&(_, online)| online) {
             for id in DescriptorId::pair_at(onion, now.unix()) {
                 for entry in net.consensus().responsible_hsdirs(id) {
+                    if record_coverage && net.relay(entry.relay).logging {
+                        *self.slot_hours.entry(onion).or_insert(0) += 1;
+                    }
                     if net.upload_dropped(entry.relay, id) {
                         self.publish_drops += 1;
                     } else {
@@ -464,14 +583,17 @@ proptest! {
 
     /// Differential test of incremental publication: after every step
     /// of a random sequence — rounds, same-hour revotes, relays joining
-    /// the ring, services flipping, relays flipping reachability or
-    /// taking a new identity, fault plans swapping between publish
-    /// drops, relay crashes and none — every HSDir store
-    /// holds exactly what [`EagerPublisher`] holds, and the hot and
-    /// publish-drop counters match its accounting.
+    /// the ring, services flipping, relays flipping reachability,
+    /// taking a new identity or flipping their `logging` flag, the
+    /// descriptor-ID cache toggling, fault plans swapping between
+    /// publish drops, relay crashes and none — every HSDir store holds
+    /// exactly what [`EagerPublisher`] holds, every service's slot-hours
+    /// match its eager count, and the hot counters (the rows the
+    /// rounds visited and the fresh votes among them) and publish-drop
+    /// counter match its accounting.
     #[test]
     fn incremental_publication_matches_eager_model(
-        steps in proptest::collection::vec((0u8..8, any::<u64>()), 1..24),
+        steps in proptest::collection::vec((0u8..10, any::<u64>()), 1..24),
     ) {
         use crate::fault::FaultPlan;
         use crate::relay::Operator;
@@ -493,7 +615,8 @@ proptest! {
         for &(onion, online) in &services {
             net.register_service(onion, online);
         }
-        let mut eager = EagerPublisher::new(&net);
+        let mut eager = EagerPublisher::new(&net, &services);
+        let mut cache_enabled = true;
         for (op, arg) in steps {
             match op {
                 0 | 1 => {
@@ -519,11 +642,13 @@ proptest! {
                         Operator::Honest,
                     );
                     net.relay_mut(id).last_restart = net.time() - 30 * HOUR;
+                    eager.relays_changed = true;
                 }
                 4 | 5 => {
                     let k = (arg % services.len() as u64) as usize;
                     services[k].1 = !services[k].1;
                     net.set_service_online(services[k].0, services[k].1);
+                    eager.dirty.insert(services[k].0);
                 }
                 6 => {
                     let relay = net.relay_mut(RelayId((arg % 40) as usize));
@@ -532,6 +657,18 @@ proptest! {
                     } else {
                         relay.rotate_identity(SimIdentity::generate(&mut StdRng::seed_from_u64(arg)));
                     }
+                    eager.relays_changed = true;
+                }
+                7 => {
+                    let n = net.relays().len() as u64;
+                    let relay = net.relay_mut(RelayId((arg % n) as usize));
+                    relay.logging = !relay.logging;
+                    eager.relays_changed = true;
+                }
+                8 => {
+                    cache_enabled = !cache_enabled;
+                    net.set_desc_cache_enabled(cache_enabled);
+                    eager.set_cache(&net, cache_enabled);
                 }
                 _ => {
                     net.set_fault_plan(match arg % 3 {
@@ -561,8 +698,104 @@ proptest! {
                     want.iter().map(|(&id, &(onion, t))| (id, onion, t)).collect();
                 prop_assert_eq!(got, want, "store of relay {} after op {}", i, op);
             }
-            prop_assert_eq!(net.hot_counters(), eager.hot);
+            for &(onion, _) in &services {
+                let want = eager.slot_hours.get(&onion).copied().unwrap_or(0);
+                prop_assert_eq!(net.slot_hours(onion), want, "slot-hours after op {}", op);
+            }
+            prop_assert_eq!(net.hot_counters(), eager.hot, "after op {}", op);
             prop_assert_eq!(net.fault_counters().publish_drops, eager.publish_drops);
+        }
+    }
+
+    /// A consensus the network reuses is the consensus a fresh vote
+    /// would produce: after every step of a random sequence of relay
+    /// edits (reachability, bandwidth, identity, restarts), joins,
+    /// fault-plan swaps and rounds, `net.consensus()` equals
+    /// `Authority::vote(net.relays(), net.time())` field for field.
+    /// Young relays cross the HSDir and Guard thresholds on the way.
+    #[test]
+    fn consensus_equals_a_fresh_vote(
+        net_seed in 0u64..1_000,
+        steps in proptest::collection::vec((0u8..6, any::<u64>(), 0u64..30), 1..20),
+    ) {
+        use crate::authority::Authority;
+        use crate::fault::FaultPlan;
+        use crate::relay::Operator;
+        use onion_crypto::identity::SimIdentity;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut net = NetworkBuilder::new()
+            .relays(40)
+            .seed(net_seed)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .established_fraction(0.5)
+            .build();
+        for (op, arg, hours) in steps {
+            let n = net.relays().len();
+            let pick = RelayId((arg % n as u64) as usize);
+            match op {
+                0 => {
+                    let relay = net.relay_mut(pick);
+                    relay.reachable = !relay.reachable;
+                }
+                1 => net.relay_mut(pick).bandwidth = 20 + arg % 10_000,
+                2 => net
+                    .relay_mut(pick)
+                    .rotate_identity(SimIdentity::generate(&mut StdRng::seed_from_u64(arg))),
+                3 => {
+                    let now = net.time();
+                    let relay = net.relay_mut(pick);
+                    if relay.running {
+                        relay.stop();
+                    } else {
+                        relay.start(now - (arg % 200) * HOUR);
+                    }
+                }
+                4 => {
+                    let id = net.add_relay(
+                        format!("joiner{n}"),
+                        Ipv4::new(198, 18, (n / 250) as u8, (n % 250) as u8 + 1),
+                        9001,
+                        SimIdentity::generate(&mut StdRng::seed_from_u64(arg)),
+                        20 + arg % 10_000,
+                        Operator::Honest,
+                    );
+                    net.relay_mut(id).last_restart = net.time() - (arg % 300) * HOUR;
+                }
+                _ => net.set_fault_plan(if arg % 2 == 0 {
+                    FaultPlan {
+                        seed: arg,
+                        relay_crash_rate: 0.05,
+                        restart_after_hours: 1 + arg % 4,
+                        ..FaultPlan::none()
+                    }
+                } else {
+                    FaultPlan::none()
+                }),
+            }
+            if hours == 0 {
+                net.revote();
+            } else {
+                net.advance_hours(hours);
+            }
+            let fresh = Authority::new().vote(net.relays(), net.time());
+            let got = net.consensus();
+            prop_assert_eq!(got.valid_after(), fresh.valid_after());
+            prop_assert_eq!(got.len(), fresh.len());
+            for (a, b) in got.entries().iter().zip(fresh.entries()) {
+                prop_assert_eq!(a.relay, b.relay);
+                prop_assert_eq!(a.fingerprint, b.fingerprint);
+                prop_assert_eq!(&a.nickname, &b.nickname);
+                prop_assert_eq!(a.ip, b.ip);
+                prop_assert_eq!(a.or_port, b.or_port);
+                prop_assert_eq!(a.bandwidth, b.bandwidth);
+                prop_assert_eq!(a.flags, b.flags);
+            }
+            prop_assert!(got.hsdirs().map(|e| e.relay).eq(fresh.hsdirs().map(|e| e.relay)));
+            for r in 0..net.relays().len() {
+                prop_assert_eq!(got.is_listed_guard(RelayId(r)), fresh.is_listed_guard(RelayId(r)));
+            }
         }
     }
 

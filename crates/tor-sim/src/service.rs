@@ -40,6 +40,16 @@ pub trait ServiceBackend {
     /// The remote service's reaction to a TCP connection on `port`.
     fn connect(&self, onion: OnionAddress, port: u16, now: SimTime) -> PortReply;
 
+    /// The replies to one connection on each of `ports`, in order: the
+    /// same as [`ServiceBackend::connect`] per port. A backend can
+    /// override it to look the service up once for all the ports.
+    fn connect_ports(&self, onion: OnionAddress, ports: &[u16], now: SimTime) -> Vec<PortReply> {
+        ports
+            .iter()
+            .map(|&port| self.connect(onion, port, now))
+            .collect()
+    }
+
     /// Whether the service is online (its Tor process is publishing
     /// descriptors and accepting rendezvous) at `now`.
     fn is_online(&self, onion: OnionAddress, now: SimTime) -> bool;
