@@ -432,9 +432,7 @@ mod tests {
             let client = tor_sim::network::ClientId(0);
             for i in 0..20u64 {
                 let onion = OnionAddress::from_pubkey(format!("service {i}").as_bytes());
-                let t = net.time();
-                let [id, _] = DescriptorId::pair_at(onion, t.unix());
-                net.client_fetch_desc_id(client, id);
+                net.client_fetch(client, onion);
             }
         };
 

@@ -10,7 +10,7 @@ use tor_sim::clock::{SimTime, DAY};
 use tor_sim::fault::RetryPolicy;
 use tor_sim::network::{onion_unit_key, FetchOutcome, Network, WaveEffects};
 use tor_sim::relay::Ipv4;
-use tor_sim::service::{PortReply, ServiceBackend};
+use tor_sim::service::PortReply;
 use wave::{mix2, WavePool, WaveStats};
 
 use hs_world::service::SKYNET_PORT;
@@ -218,11 +218,12 @@ impl Scanner {
     /// read-only *measurement wave*: one work unit per target, sharded
     /// across [`ScanConfig::threads`] workers. A unit fetches the
     /// target's descriptor (unit-keyed RNG stream; its retries reuse one
-    /// fetch plan) and, on success,
-    /// probes the day's scheduled ports; its side effects and probe
-    /// replies are merged back in target order, so the report is
-    /// byte-identical at any thread count. Unreachable services leave
-    /// their scheduled probes unconcluded — the coverage gap.
+    /// fetch plan) and, on success, connects to the day's scheduled
+    /// ports through [`Network::connect_ports`]; its side effects and
+    /// probe replies are merged back in target order, so the report is
+    /// byte-identical at any thread count. Unreachable services — down
+    /// that day, or flapping that hour — leave their scheduled probes
+    /// unconcluded: the coverage gap.
     pub fn run_traced(
         &self,
         net: &mut Network,
@@ -269,7 +270,6 @@ impl Scanner {
 
             // Measurement wave: one read-only unit per target.
             let day_seed = mix2(self.config.seed, day as u64);
-            let now = net.time();
             let retry = &self.config.retry;
             let ports_ref = &ports;
             let net_ref: &Network = net;
@@ -286,7 +286,7 @@ impl Scanner {
                     &mut fx,
                 );
                 let replies: Vec<PortReply> = if fetched.outcome == FetchOutcome::Found {
-                    world.connect_ports(onion, ports_ref, now)
+                    net_ref.connect_ports(onion, ports_ref, world, &mut fx)
                 } else {
                     Vec::new()
                 };
@@ -464,7 +464,13 @@ mod tests {
         }
     }
 
-    fn scan_with_faults(plan: tor_sim::FaultPlan) -> ScanReport {
+    /// A `days`-day scan at `threads` wave threads under `plan`, and
+    /// the faults the network counted.
+    fn scan_under(
+        plan: tor_sim::FaultPlan,
+        days: usize,
+        threads: usize,
+    ) -> (ScanReport, tor_sim::FaultCounters) {
         let world = World::generate(WorldConfig {
             seed: 5,
             scale: 0.01,
@@ -479,10 +485,33 @@ mod tests {
         net.advance_hours(1);
         let targets: Vec<OnionAddress> = world.services().iter().map(|s| s.onion).collect();
         let config = ScanConfig {
-            days: 2,
+            days,
+            threads,
             ..ScanConfig::default()
         };
-        Scanner::new(config).run(&mut net, &world, &targets)
+        let report = Scanner::new(config).run(&mut net, &world, &targets);
+        (report, net.fault_counters())
+    }
+
+    #[test]
+    fn flapping_services_time_out_on_every_port() {
+        let plan = tor_sim::FaultPlan {
+            seed: 17,
+            service_flap_rate: 1.0,
+            ..tor_sim::FaultPlan::none()
+        };
+        let (report, faults) = scan_under(plan.clone(), 1, 1);
+        // One scan day fetches each target once, so every target with
+        // a descriptor is one found fetch, and each of them flapped.
+        assert!(report.with_descriptors > 0);
+        assert_eq!(faults.service_flaps, report.with_descriptors as u64);
+        assert_eq!(faults.total(), faults.service_flaps, "{faults:?}");
+        assert!(report.probes_scheduled > 0);
+        assert_eq!(report.probes_concluded, 0);
+        assert_eq!(report.total_open(), 0);
+        let (parallel, parallel_faults) = scan_under(plan, 1, 4);
+        assert_eq!(format!("{parallel:?}"), format!("{report:?}"));
+        assert_eq!(parallel_faults, faults);
     }
 
     #[test]
@@ -492,7 +521,7 @@ mod tests {
             hsdir_drop_rate: 1.0,
             ..tor_sim::FaultPlan::none()
         };
-        let report = scan_with_faults(plan);
+        let report = scan_under(plan, 2, 1).0;
         // Every target-day fetch burned its whole budget and gave up:
         // nothing was scanned, but the scanner itself survived.
         assert_eq!(report.fetch_gave_ups, 2 * report.targets as u64);
@@ -524,7 +553,7 @@ mod tests {
             hsdir_drop_rate: 0.55,
             ..tor_sim::FaultPlan::none()
         };
-        let report = scan_with_faults(plan);
+        let report = scan_under(plan, 2, 1).0;
         assert!(report.fetch_retries > 0, "drops must trigger retries");
         assert!(
             report.fetch_recovered > 0,

@@ -647,13 +647,6 @@ impl World {
 }
 
 impl ServiceBackend for World {
-    fn connect(&self, onion: OnionAddress, port: u16, now: SimTime) -> PortReply {
-        match self.reachable(onion, now) {
-            Some(s) => self.port_reply(s, &s.open_ports(), port),
-            None => PortReply::Timeout,
-        }
-    }
-
     /// Looks the service up, decides its liveness and lists its open
     /// ports once for all of `ports`.
     fn connect_ports(&self, onion: OnionAddress, ports: &[u16], now: SimTime) -> Vec<PortReply> {
@@ -665,12 +658,6 @@ impl ServiceBackend for World {
             .iter()
             .map(|&port| self.port_reply(s, &open, port))
             .collect()
-    }
-
-    fn is_online(&self, onion: OnionAddress, now: SimTime) -> bool {
-        self.get(onion)
-            .map(|s| self.service_online(s, now))
-            .unwrap_or(false)
     }
 }
 
@@ -719,6 +706,11 @@ mod tests {
             seed: 99,
             scale: 0.05,
         })
+    }
+
+    /// The reply to one connection on `port`.
+    fn connect(w: &World, onion: OnionAddress, port: u16, now: SimTime) -> PortReply {
+        w.connect_ports(onion, &[port], now)[0]
     }
 
     #[test]
@@ -810,22 +802,22 @@ mod tests {
             .services()
             .iter()
             .filter(|s| s.is_skynet_bot())
-            .find(|s| w.connect(s.onion, SKYNET_PORT, now) == PortReply::AbnormalClose)
+            .find(|s| connect(&w, s.onion, SKYNET_PORT, now) == PortReply::AbnormalClose)
             .unwrap_or(bot);
         assert_eq!(
-            w.connect(bot.onion, SKYNET_PORT, now),
+            connect(&w, bot.onion, SKYNET_PORT, now),
             PortReply::AbnormalClose
         );
 
         let ghost = OnionAddress::from_pubkey(b"not in world");
-        assert_eq!(w.connect(ghost, 80, now), PortReply::Timeout);
+        assert_eq!(connect(&w, ghost, 80, now), PortReply::Timeout);
     }
 
     #[test]
     fn connect_ports_equals_connect_per_port() {
         let w = small_world();
         let now = SimTime::from_ymd(2013, 2, 14);
-        let online = |s: &&Service| w.is_online(s.onion, now);
+        let online = |s: &&Service| w.service_online(s, now);
         let pick = |pred: &dyn Fn(&&Service) -> bool| w.services().iter().find(pred).unwrap().onion;
         let onions = [
             pick(&|s| online(s) && !s.open_ports().is_empty()),
@@ -840,7 +832,7 @@ mod tests {
         ports.sort_unstable();
         ports.dedup();
         for onion in onions {
-            let each: Vec<PortReply> = ports.iter().map(|&p| w.connect(onion, p, now)).collect();
+            let each: Vec<PortReply> = ports.iter().map(|&p| connect(&w, onion, p, now)).collect();
             assert_eq!(w.connect_ports(onion, &ports, now), each, "{onion}");
             assert_eq!(w.connect_ports(onion, &[], now), Vec::new());
         }
@@ -860,7 +852,7 @@ mod tests {
             .services()
             .iter()
             .filter(|s| matches!(s.role, Role::Web) && !s.web.https_only && !s.web.on_8080)
-            .filter(|s| w.connect(s.onion, 80, now) == PortReply::Open)
+            .filter(|s| connect(&w, s.onion, 80, now) == PortReply::Open)
             .count();
         assert!(ok > 50, "most web services answer on port 80 ({ok})");
     }
@@ -902,7 +894,7 @@ mod tests {
             .collect();
         let online = publishing
             .iter()
-            .filter(|s| w.is_online(s.onion, now))
+            .filter(|s| w.service_online(s, now))
             .count();
         let share = online as f64 / publishing.len() as f64;
         assert!((0.84..0.95).contains(&share), "online share {share}");

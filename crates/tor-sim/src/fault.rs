@@ -262,10 +262,6 @@ pub(crate) struct FaultState {
     crashed_until: Vec<Option<(SimTime, bool)>>,
     /// Per-relay descriptor queries received this consensus round.
     load: Vec<u32>,
-    /// Monotonic query serial: makes per-query drop rolls independent
-    /// draws (so client retries are not doomed to repeat the exact
-    /// same decision) while staying fully deterministic.
-    query_serial: u64,
     pub(crate) counters: FaultCounters,
 }
 
@@ -331,38 +327,14 @@ impl FaultState {
         }
     }
 
-    /// Whether a responsible HSDir drops this descriptor query
-    /// (overload first, then the random drop rate). Increments the
-    /// relay's round load either way.
-    pub(crate) fn drops_query(&mut self, relay: RelayId, desc_id: DescriptorId) -> bool {
-        self.ensure_len(relay.0 + 1);
-        self.load[relay.0] += 1;
-        if self.plan.overload_threshold > 0 && self.load[relay.0] > self.plan.overload_threshold {
-            self.counters.overload_drops += 1;
-            return true;
-        }
-        self.query_serial += 1;
-        if roll(
-            self.plan.seed,
-            KIND_QUERY,
-            desc_key(desc_id),
-            self.query_serial,
-        ) < self.plan.hsdir_drop_rate
-        {
-            self.counters.fetch_drops += 1;
-            return true;
-        }
-        false
-    }
-
     /// A relay's accumulated descriptor-query load this consensus
-    /// round, as seen by a read-only measurement wave (the snapshot
-    /// the wave's overload decisions add their local load to).
+    /// round, as a fetch unit sees it (the snapshot its overload
+    /// decisions add the unit's own load to).
     pub(crate) fn round_load(&self, relay: RelayId) -> u32 {
         self.load.get(relay.0).copied().unwrap_or(0)
     }
 
-    /// Folds a wave unit's per-relay load increments back into the
+    /// Folds a fetch unit's per-relay load increments back into the
     /// global round-load table. Addition is commutative, so the merge
     /// order across units does not matter.
     pub(crate) fn add_load(&mut self, increments: &[(usize, u32)]) {
@@ -372,16 +344,17 @@ impl FaultState {
         }
     }
 
-    /// The drop roll a read-only wave uses in place of the sequential
-    /// path's `query_serial`: the serial operand is derived from the
-    /// unit's stable key instead of global fetch order, so the decision
-    /// is identical at any thread count.
+    /// Whether the random drop rate drops one descriptor query. The
+    /// serial operand derives from the fetch unit's stable key and its
+    /// query count, never from global fetch order, so the decision is
+    /// identical at any thread count, and a client's retries are not
+    /// doomed to repeat the same decision.
     pub(crate) fn wave_drop_roll(&self, desc_id: DescriptorId, serial: u64) -> bool {
         roll(self.plan.seed, KIND_QUERY, desc_key(desc_id), serial) < self.plan.hsdir_drop_rate
     }
 
     /// Whether a descriptor upload to one HSDir fails. Keyed on
-    /// `(relay, descriptor, time)` — not the query serial — so the
+    /// `(relay, descriptor, time)` — not a query serial — so the
     /// decision depends neither on the order services publish in nor
     /// on which services a round re-places.
     pub(crate) fn publish_drop_roll(
@@ -399,14 +372,8 @@ impl FaultState {
     }
 
     /// Whether a service is transiently unreachable this hour.
-    pub(crate) fn service_flapping(&mut self, onion: OnionAddress, now: SimTime) -> bool {
-        if roll(self.plan.seed, KIND_FLAP, onion_key(onion), now.hours())
-            < self.plan.service_flap_rate
-        {
-            self.counters.service_flaps += 1;
-            return true;
-        }
-        false
+    pub(crate) fn service_flapping(&self, onion: OnionAddress, now: SimTime) -> bool {
+        roll(self.plan.seed, KIND_FLAP, onion_key(onion), now.hours()) < self.plan.service_flap_rate
     }
 }
 

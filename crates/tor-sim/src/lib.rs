@@ -85,4 +85,4 @@ pub use network::{
     WaveEffects,
 };
 pub use relay::{Ipv4, Operator, Relay, RelayId};
-pub use service::{ConnectOutcome, PortReply, ServiceBackend};
+pub use service::{PortReply, ServiceBackend};

@@ -29,7 +29,7 @@ use crate::intern::{DescPair, Placement, ServiceId, ServiceTable, UPLOAD_SLOTS};
 
 use crate::guard::GuardSet;
 use crate::relay::{Ipv4, Operator, Relay, RelayId};
-use crate::service::{ConnectOutcome, PortReply, ServiceBackend};
+use crate::service::{PortReply, ServiceBackend};
 use crate::store::{DescriptorStore, RequestLog, RequestRecord, StoredDescriptor};
 
 #[cfg(test)]
@@ -102,16 +102,16 @@ pub struct FetchAttempts {
     pub backoff_secs: u64,
 }
 
-/// Side effects accumulated by one read-only measurement work unit.
+/// Side effects accumulated by one read-only fetch unit: a wave unit,
+/// or the one-off unit of a [`Network::client_fetch`].
 ///
-/// Measurement waves share `&Network` across worker threads; everything
-/// a unit would have written through `&mut self` on the sequential path
-/// — hot-path counters, derived descriptor-ID pairs, fault counters,
-/// per-relay query load, request logs, guard observations — lands here
-/// instead and is folded back in canonical input order by
-/// [`Network::apply_wave_effects`]. Log and observation order is
-/// preserved within a unit, so the merged feeds are identical to
-/// running the units one after another.
+/// Fetches read `&Network`, so measurement waves can share it across
+/// worker threads. Everything a fetch changes — hot-path counters,
+/// derived descriptor-ID pairs, fault counters, per-relay query load,
+/// request logs, guard observations — lands here and is folded back in
+/// canonical input order by [`Network::apply_wave_effects`]. Log and
+/// observation order is preserved within a unit, so the merged feeds
+/// are identical to running the units one after another.
 #[derive(Clone, Debug, Default)]
 pub struct WaveEffects {
     /// Stable per-unit key: fault drop rolls derive their serial
@@ -128,6 +128,8 @@ pub struct WaveEffects {
     fetch_drops: u64,
     /// Queries dropped as overload against the wave-start snapshot.
     overload_drops: u64,
+    /// Connections that met a flapping service.
+    service_flaps: u64,
     /// Per-relay descriptor-query load the unit generated.
     load: Vec<(usize, u32)>,
     /// Request-log records in issue order.
@@ -416,6 +418,9 @@ pub struct Network {
     /// ([`Authority::flags_hold_until`]). Until then, with the epoch
     /// unchanged, a vote would list exactly the same entries.
     voted: (u64, SimTime),
+    /// Fetches made by [`Network::client_fetch`]: the key of the next
+    /// one-off unit's fault rolls.
+    one_off_units: u64,
     rng: StdRng,
 }
 
@@ -1030,135 +1035,42 @@ impl Network {
         self.svc.slot_hours_sorted()
     }
 
-    /// A client fetches a descriptor by ID (phantom requests — fetches
-    /// for IDs that were never published — go through this entry point
-    /// too, exactly like the 80 % of requests the paper observed).
+    /// A client fetches the descriptor of a service by onion address
+    /// (phantom requests — fetches for onions that never published —
+    /// go through here too, like the 80 % of requests the paper
+    /// observed).
     ///
-    /// The fetch is routed through a circuit whose first hop is one of
-    /// the client's guards; each responsible HSDir is tried in random
-    /// order until one returns the descriptor. Logging HSDirs record the
-    /// request; if the response carries an armed traffic signature and
-    /// the guard is attacker-operated, a [`GuardObservation`] is emitted.
-    pub fn client_fetch_desc_id(
-        &mut self,
-        client: ClientId,
-        desc_id: DescriptorId,
-    ) -> FetchOutcome {
-        self.hot.fetches += 1;
-        // Establish the entry guard.
+    /// The fetch is a one-off unit of its own: it draws its replica
+    /// swap from the network RNG, maintains the client's guards, runs
+    /// the fetch core of [`Network::client_fetch_readonly`] through a
+    /// fresh [`FetchPlan`] on the network RNG, and applies its effects
+    /// at once. Its fault rolls are keyed by a per-network serial.
+    pub fn client_fetch(&mut self, client: ClientId, onion: OnionAddress) -> FetchOutcome {
+        let swap = self.rng.random::<bool>();
         self.clients[client.0]
             .guards
             .maintain(&self.consensus, self.time, &mut self.rng);
-        let Some(guard) = self.clients[client.0]
-            .guards
-            .pick(&self.consensus, &mut self.rng)
-        else {
-            return FetchOutcome::NoCircuit;
-        };
-
-        let mut order = [RelayId(usize::MAX); HSDIRS_PER_REPLICA];
-        let n = self.consensus.responsible_hsdirs_into(desc_id, &mut order);
-        if n == 0 {
-            return FetchOutcome::NoHsdirs;
-        }
-        // Shuffling the filled prefix draws from the RNG exactly like
-        // shuffling the old `Vec` of the same length did.
-        order[..n].shuffle(&mut self.rng);
-
-        let faults_active = !self.faults.is_inert();
-        let mut outcome = FetchOutcome::NotFound;
-        for &hsdir in &order[..n] {
-            // An overloaded or lossy HSDir neither serves nor logs the
-            // query; the client sees a timeout on that circuit and
-            // moves to the next responsible directory.
-            if faults_active && self.faults.drops_query(hsdir, desc_id) {
-                outcome = FetchOutcome::Timeout;
-                continue;
-            }
-            let found = self.stores[hsdir.0].contains(desc_id);
-            if self.relays[hsdir.0].logging {
-                self.logs[hsdir.0].record(RequestRecord {
-                    time: self.time,
-                    descriptor_id: desc_id,
-                    found,
-                });
-            }
-            if !found {
-                continue;
-            }
-            outcome = FetchOutcome::Found;
-            // Signature injection: the attacker HSDir knows the target
-            // services' current descriptor IDs and arms responses.
-            if self.relays[hsdir.0].operator != Operator::Honest {
-                if let Some((onion, sig)) = self.signature_for(desc_id) {
-                    let cells = sig.encode_response(3);
-                    // The guard inspects cells flowing toward the client.
-                    if self.relays[guard.0].operator != Operator::Honest && sig.matches(&cells) {
-                        self.guard_observations.push(GuardObservation {
-                            time: self.time,
-                            guard,
-                            client_ip: self.clients[client.0].ip,
-                            onion,
-                        });
-                    }
-                }
-            }
-            break;
-        }
+        self.one_off_units += 1;
+        let mut fx = WaveEffects::new(self.one_off_units);
+        // The core reads `&self`, so it draws from a copy of the network
+        // RNG that is stored back.
+        let mut rng = self.rng.clone();
+        let mut plan = self.plan_fetches(onion, &mut fx);
+        let outcome = self.fetch_planned(client, &mut plan, swap, &mut rng, &mut fx);
+        self.rng = rng;
+        self.apply_wave_effects(fx);
         outcome
     }
 
-    /// A client fetches the descriptor of a service by onion address:
-    /// picks a replica at random, falls back to the other.
-    pub fn client_fetch(&mut self, client: ClientId, onion: OnionAddress) -> FetchOutcome {
-        let mut ids = self.cached_pair(onion);
-        if self.rng.random::<bool>() {
-            ids.swap(0, 1);
-        }
-        let first = self.client_fetch_desc_id(client, ids[0]);
-        match first {
-            FetchOutcome::Found | FetchOutcome::NoCircuit | FetchOutcome::NoHsdirs => first,
-            FetchOutcome::NotFound | FetchOutcome::Timeout => {
-                let second = self.client_fetch_desc_id(client, ids[1]);
-                match second {
-                    // A timeout on either replica makes the whole fetch
-                    // a timeout: the descriptor may exist behind the
-                    // dropped query, so the result is transient.
-                    FetchOutcome::Found => FetchOutcome::Found,
-                    _ if first == FetchOutcome::Timeout => FetchOutcome::Timeout,
-                    other => other,
-                }
-            }
-        }
-    }
-
-    /// [`Network::client_fetch`] with capped exponential backoff over
-    /// the replica set: transient [`FetchOutcome::Timeout`] results are
-    /// retried up to the policy's attempt budget. Backoff is accounted
-    /// in the result, never slept — simulation time does not advance,
-    /// and a zero-fault network (which never times out) performs
-    /// exactly one attempt with identical RNG consumption.
+    /// [`Network::client_fetch`] under the retry loop of
+    /// [`Network::client_fetch_with_retry_readonly`].
     pub fn client_fetch_with_retry(
         &mut self,
         client: ClientId,
         onion: OnionAddress,
         policy: &RetryPolicy,
     ) -> FetchAttempts {
-        let budget = policy.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let mut backoff_secs = 0u64;
-        loop {
-            attempts += 1;
-            let outcome = self.client_fetch(client, onion);
-            if outcome != FetchOutcome::Timeout || attempts >= budget {
-                return FetchAttempts {
-                    outcome,
-                    attempts,
-                    backoff_secs,
-                };
-            }
-            backoff_secs += policy.backoff_after(attempts);
-        }
+        with_retry(policy, || self.client_fetch(client, onion))
     }
 
     /// Sequential prepare phase for a measurement wave: maintains every
@@ -1182,11 +1094,11 @@ impl Network {
         }
     }
 
-    /// Plans a read-only wave unit's fetches of `onion`: looks up its
-    /// descriptor-ID pair as [`Network::client_fetch`] would, counting
-    /// the lookup in `fx` (a miss is derived once and kept in
-    /// `fx.derived`). Build one plan per unit that fetches, and pass it
-    /// to each of the unit's [`Network::client_fetch_readonly`] calls.
+    /// Plans a read-only unit's fetches of `onion`: looks up its
+    /// descriptor-ID pair, counting the lookup in `fx` (a miss is
+    /// derived once and kept in `fx.derived`). Build one plan per unit
+    /// that fetches, and pass it to each of the unit's
+    /// [`Network::client_fetch_readonly`] calls.
     pub fn plan_fetches(&self, onion: OnionAddress, fx: &mut WaveEffects) -> FetchPlan<'_> {
         FetchPlan {
             onion,
@@ -1228,12 +1140,16 @@ impl Network {
         }
     }
 
-    /// One read-only fetch of `plan`'s descriptor ID for `replica`, the
-    /// wave counterpart of [`Network::client_fetch_desc_id`]: circuit
-    /// and HSDir-order randomness comes from the unit's own `rng`, and
-    /// every side effect is recorded in `fx` instead of written
-    /// through. The client's guard set must have been maintained by
-    /// [`Network::prepare_wave`].
+    /// One read-only fetch of `plan`'s descriptor ID for `replica`.
+    ///
+    /// The fetch is routed through a circuit whose first hop is one of
+    /// the client's guards; each responsible HSDir is tried in random
+    /// order until one returns the descriptor. Logging HSDirs record the
+    /// request; if the response carries an armed traffic signature and
+    /// the guard is attacker-operated, a [`GuardObservation`] is
+    /// emitted. Circuit and HSDir-order randomness comes from `rng`,
+    /// and every side effect is recorded in `fx`. The client's guard
+    /// set must have been maintained ([`Network::prepare_wave`]).
     fn fetch_replica(
         &self,
         client: ClientId,
@@ -1260,6 +1176,9 @@ impl Network {
         let mut outcome = FetchOutcome::NotFound;
         for &k in &order[..r.n] {
             let hsdir = r.hsdirs[k];
+            // An overloaded or lossy HSDir neither serves nor logs the
+            // query; the client sees a timeout on that circuit and
+            // moves to the next responsible directory.
             if faults_active && self.wave_drops_query(hsdir, desc_id, fx) {
                 outcome = FetchOutcome::Timeout;
                 continue;
@@ -1295,10 +1214,11 @@ impl Network {
         outcome
     }
 
-    /// The wave counterpart of `FaultState::drops_query`: overload is
-    /// decided against the wave-start load snapshot plus the unit's own
-    /// local contribution, and the drop roll's serial operand derives
-    /// from the unit key — both thread-count-invariant.
+    /// Whether a responsible HSDir drops this query (overload first,
+    /// then the random drop rate). Overload is decided against the
+    /// round load at the wave's start plus the unit's own load, and the
+    /// drop roll's serial operand derives from the unit key — both
+    /// thread-count-invariant.
     fn wave_drops_query(
         &self,
         hsdir: RelayId,
@@ -1320,17 +1240,31 @@ impl Network {
         false
     }
 
-    /// Read-only variant of [`Network::client_fetch`] for measurement
-    /// waves: one fetch through the unit's `plan`. The replica swap,
-    /// guard pick and HSDir order draw from the unit `rng` exactly as
-    /// the sequential fetch draws from the network's. Each use after
-    /// the plan's first counts the descriptor-ID lookup it replaces as
-    /// a cache hit; with the cache disabled it rebuilds the plan
-    /// instead, so every lookup derives its pair from scratch.
+    /// Read-only fetch for measurement waves: one fetch through the
+    /// unit's `plan`. The replica swap, guard pick and HSDir order draw
+    /// from the unit `rng`.
     pub fn client_fetch_readonly<'n>(
         &'n self,
         client: ClientId,
         plan: &mut FetchPlan<'n>,
+        rng: &mut StdRng,
+        fx: &mut WaveEffects,
+    ) -> FetchOutcome {
+        let swap = rng.random::<bool>();
+        self.fetch_planned(client, plan, swap, rng, fx)
+    }
+
+    /// The fetch core of every client fetch, after its replica swap
+    /// draw: tries one replica (the second if `swap`), and falls back
+    /// to the other. Each use of `plan` after its first counts the
+    /// descriptor-ID lookup it replaces as a cache hit; with the cache
+    /// disabled it rebuilds the plan instead, so every lookup derives
+    /// its pair from scratch.
+    fn fetch_planned<'n>(
+        &'n self,
+        client: ClientId,
+        plan: &mut FetchPlan<'n>,
+        swap: bool,
         rng: &mut StdRng,
         fx: &mut WaveEffects,
     ) -> FetchOutcome {
@@ -1342,16 +1276,16 @@ impl Network {
             }
         }
         plan.used = true;
-        let mut replicas = [0, 1];
-        if rng.random::<bool>() {
-            replicas.swap(0, 1);
-        }
+        let replicas = if swap { [1, 0] } else { [0, 1] };
         let first = self.fetch_replica(client, plan, replicas[0], rng, fx);
         match first {
             FetchOutcome::Found | FetchOutcome::NoCircuit | FetchOutcome::NoHsdirs => first,
             FetchOutcome::NotFound | FetchOutcome::Timeout => {
                 let second = self.fetch_replica(client, plan, replicas[1], rng, fx);
                 match second {
+                    // A timeout on either replica makes the whole fetch
+                    // a timeout: the descriptor may exist behind the
+                    // dropped query, so the result is transient.
                     FetchOutcome::Found => FetchOutcome::Found,
                     _ if first == FetchOutcome::Timeout => FetchOutcome::Timeout,
                     other => other,
@@ -1360,8 +1294,8 @@ impl Network {
         }
     }
 
-    /// Read-only variant of [`Network::client_fetch_with_retry`]: every
-    /// attempt is one fetch through `plan`.
+    /// [`Network::client_fetch_readonly`] with capped exponential
+    /// backoff: every attempt is one fetch through `plan`.
     pub fn client_fetch_with_retry_readonly<'n>(
         &'n self,
         client: ClientId,
@@ -1370,21 +1304,7 @@ impl Network {
         rng: &mut StdRng,
         fx: &mut WaveEffects,
     ) -> FetchAttempts {
-        let budget = policy.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let mut backoff_secs = 0u64;
-        loop {
-            attempts += 1;
-            let outcome = self.client_fetch_readonly(client, plan, rng, fx);
-            if outcome != FetchOutcome::Timeout || attempts >= budget {
-                return FetchAttempts {
-                    outcome,
-                    attempts,
-                    backoff_secs,
-                };
-            }
-            backoff_secs += policy.backoff_after(attempts);
-        }
+        with_retry(policy, || self.client_fetch_readonly(client, plan, rng, fx))
     }
 
     /// Read-only descriptor-ID pair lookup. The cache column and the
@@ -1442,6 +1362,7 @@ impl Network {
         self.hot.fetches += fx.hot.fetches;
         self.faults.counters.fetch_drops += fx.fetch_drops;
         self.faults.counters.overload_drops += fx.overload_drops;
+        self.faults.counters.service_flaps += fx.service_flaps;
         self.faults.add_load(&fx.load);
         for (relay, record) in fx.logs {
             self.logs[relay.0].record(record);
@@ -1449,46 +1370,25 @@ impl Network {
         self.guard_observations.extend(fx.observations);
     }
 
-    /// Full application connection: descriptor fetch, rendezvous, then
-    /// the backend's port reply.
-    pub fn connect_port(
-        &mut self,
-        client: ClientId,
+    /// The rendezvous after a fetch that found `onion`'s descriptor: the
+    /// backend's replies to one connection on each of `ports`, in order.
+    ///
+    /// A service that flaps this hour (host churn, overloaded
+    /// introduction points) is unreachable although its descriptor
+    /// resolved: every port times out, as from a dead backend — exactly
+    /// the paper's scan ambiguity. The flap is counted once in `fx`.
+    pub fn connect_ports(
+        &self,
         onion: OnionAddress,
-        port: u16,
+        ports: &[u16],
         backend: &dyn ServiceBackend,
-    ) -> ConnectOutcome {
-        match self.client_fetch(client, onion) {
-            FetchOutcome::Found => {}
-            _ => return ConnectOutcome::NoDescriptor,
-        }
-        // Transient unreachability: the descriptor resolved but the
-        // service itself is flapping this hour (host churn, overloaded
-        // introduction points). Indistinguishable from a dead backend
-        // to the client, which is exactly the paper's scan ambiguity.
+        fx: &mut WaveEffects,
+    ) -> Vec<PortReply> {
         if !self.faults.is_inert() && self.faults.service_flapping(onion, self.time) {
-            return ConnectOutcome::ServiceUnreachable;
+            fx.service_flaps += 1;
+            return vec![PortReply::Timeout; ports.len()];
         }
-        if !backend.is_online(onion, self.time) {
-            return ConnectOutcome::ServiceUnreachable;
-        }
-        ConnectOutcome::Port(backend.connect(onion, port, self.time))
-    }
-
-    /// Convenience wrapper matching the paper's scan semantics: returns
-    /// the port reply only (no descriptor → `Timeout`-equivalent
-    /// `NoDescriptor` is surfaced via [`ConnectOutcome`]).
-    pub fn scan_port(
-        &mut self,
-        client: ClientId,
-        onion: OnionAddress,
-        port: u16,
-        backend: &dyn ServiceBackend,
-    ) -> Option<PortReply> {
-        match self.connect_port(client, onion, port, backend) {
-            ConnectOutcome::Port(reply) => Some(reply),
-            _ => None,
-        }
+        backend.connect_ports(onion, ports, self.time)
     }
 
     /// Which armed target (if any) a served descriptor ID belongs to.
@@ -1509,6 +1409,29 @@ impl Network {
             }
         }
         None
+    }
+}
+
+/// Runs `fetch` with capped exponential backoff: transient
+/// [`FetchOutcome::Timeout`] results are retried up to the policy's
+/// attempt budget. Backoff is accounted in the result, never slept —
+/// simulation time does not advance, and a fetch that does not time
+/// out (as on a zero-fault network) is made exactly once.
+fn with_retry(policy: &RetryPolicy, mut fetch: impl FnMut() -> FetchOutcome) -> FetchAttempts {
+    let budget = policy.max_attempts.max(1);
+    let mut attempts = 0u32;
+    let mut backoff_secs = 0u64;
+    loop {
+        attempts += 1;
+        let outcome = fetch();
+        if outcome != FetchOutcome::Timeout || attempts >= budget {
+            return FetchAttempts {
+                outcome,
+                attempts,
+                backoff_secs,
+            };
+        }
+        backoff_secs += policy.backoff_after(attempts);
     }
 }
 
@@ -1790,6 +1713,7 @@ impl NetworkBuilder {
             last_round: None,
             relay_epoch: 0,
             voted: (0, flags_hold_until),
+            one_off_units: 0,
             rng: StdRng::seed_from_u64(self.seed ^ 0x00c1_1e77_5eed),
         }
     }
@@ -1825,11 +1749,8 @@ mod tests {
 
     struct AlwaysOpen;
     impl ServiceBackend for AlwaysOpen {
-        fn connect(&self, _onion: OnionAddress, _port: u16, _now: SimTime) -> PortReply {
-            PortReply::Open
-        }
-        fn is_online(&self, _onion: OnionAddress, _now: SimTime) -> bool {
-            true
+        fn connect_ports(&self, _: OnionAddress, ports: &[u16], _: SimTime) -> Vec<PortReply> {
+            vec![PortReply::Open; ports.len()]
         }
     }
 
@@ -2386,13 +2307,16 @@ mod tests {
         net.register_service(onion, true);
         net.advance_hours(1);
         let client = net.add_client(Ipv4::new(10, 1, 1, 1));
-        let out = net.connect_port(client, onion, 80, &AlwaysOpen);
-        assert_eq!(out, ConnectOutcome::Port(PortReply::Open));
-        assert!(out.counts_as_open());
+        assert_eq!(net.client_fetch(client, onion), FetchOutcome::Found);
+        let mut fx = WaveEffects::new(1);
+        let replies = net.connect_ports(onion, &[80, 443], &AlwaysOpen, &mut fx);
+        assert_eq!(replies, [PortReply::Open; 2]);
+        net.apply_wave_effects(fx);
+        assert_eq!(net.fault_counters(), FaultCounters::default());
 
+        // No descriptor, nothing to connect to.
         let ghost = OnionAddress::from_pubkey(b"ghost");
-        let out = net.connect_port(client, ghost, 80, &AlwaysOpen);
-        assert_eq!(out, ConnectOutcome::NoDescriptor);
+        assert_eq!(net.client_fetch(client, ghost), FetchOutcome::NotFound);
     }
 
     #[test]
@@ -2633,11 +2557,16 @@ mod tests {
         net.advance_hours(1);
         let client = net.add_client(Ipv4::new(93, 184, 216, 34));
         assert_eq!(net.client_fetch(client, onion), FetchOutcome::Found);
+        let mut fx = WaveEffects::new(1);
+        let replies = net.connect_ports(onion, &[80, 443], &AlwaysOpen, &mut fx);
+        assert_eq!(replies, [PortReply::Timeout; 2], "every port times out");
+        assert_eq!(net.fault_counters().service_flaps, 0, "counted on apply");
+        net.apply_wave_effects(fx);
         assert_eq!(
-            net.connect_port(client, onion, 80, &AlwaysOpen),
-            ConnectOutcome::ServiceUnreachable
+            net.fault_counters().service_flaps,
+            1,
+            "one flap per connection"
         );
-        assert!(net.fault_counters().service_flaps > 0);
     }
 
     #[test]

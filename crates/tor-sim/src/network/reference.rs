@@ -1,7 +1,14 @@
-//! The per-fetch read-only path that [`FetchPlan`] replaced, kept as a
-//! test reference: every fetch looks up its onion's descriptor-ID pair,
-//! both ring lookups and the store probes anew. Tests check that a
-//! unit's fetches through one plan match the same fetches made here.
+//! Two fetch paths that the fetch core replaced, kept as test
+//! references:
+//!
+//! - the per-fetch read-only path that [`FetchPlan`] replaced: every
+//!   fetch looks up its onion's descriptor-ID pair, both ring lookups
+//!   and the store probes anew. Tests check that a unit's fetches
+//!   through one plan match the same fetches made here;
+//! - the sequential fetch that the one-off unit of
+//!   [`Network::client_fetch`] replaced, which writes through
+//!   `&mut Network` as it goes. Tests check, with faults inert, that
+//!   one-off fetches leave the network as it leaves it.
 //!
 //! [`FetchPlan`]: super::FetchPlan
 
@@ -12,7 +19,9 @@ use rand::RngExt;
 use onion_crypto::descriptor::{DescriptorId, HSDIRS_PER_REPLICA};
 use onion_crypto::onion::OnionAddress;
 
-use super::{ClientId, FetchAttempts, FetchOutcome, GuardObservation, Network, WaveEffects};
+use super::{
+    with_retry, ClientId, FetchAttempts, FetchOutcome, GuardObservation, Network, WaveEffects,
+};
 use crate::fault::RetryPolicy;
 use crate::relay::{Operator, RelayId};
 use crate::store::RequestRecord;
@@ -105,8 +114,7 @@ impl Network {
         }
     }
 
-    /// [`Network::reference_fetch`] under the retry loop of
-    /// [`Network::client_fetch_with_retry_readonly`].
+    /// [`Network::reference_fetch`] under the retry loop.
     pub(crate) fn reference_fetch_with_retry(
         &self,
         client: ClientId,
@@ -115,20 +123,88 @@ impl Network {
         rng: &mut StdRng,
         fx: &mut WaveEffects,
     ) -> FetchAttempts {
-        let budget = policy.max_attempts.max(1);
-        let mut attempts = 0u32;
-        let mut backoff_secs = 0u64;
-        loop {
-            attempts += 1;
-            let outcome = self.reference_fetch(client, onion, rng, fx);
-            if outcome != FetchOutcome::Timeout || attempts >= budget {
-                return FetchAttempts {
-                    outcome,
-                    attempts,
-                    backoff_secs,
-                };
-            }
-            backoff_secs += policy.backoff_after(attempts);
+        with_retry(policy, || self.reference_fetch(client, onion, rng, fx))
+    }
+
+    /// The sequential fetch of `onion` on a network with faults inert:
+    /// it looks the pair up through the cache column, draws the replica
+    /// swap from the network RNG, and fetches one replica, then the
+    /// other if the first has no descriptor.
+    pub(crate) fn sequential_fetch(
+        &mut self,
+        client: ClientId,
+        onion: OnionAddress,
+    ) -> FetchOutcome {
+        assert!(
+            self.faults.is_inert(),
+            "the sequential reference rolls no faults"
+        );
+        let mut ids = self.cached_pair(onion);
+        if self.rng.random::<bool>() {
+            ids.swap(0, 1);
         }
+        match self.sequential_fetch_desc_id(client, ids[0]) {
+            FetchOutcome::NotFound => self.sequential_fetch_desc_id(client, ids[1]),
+            first => first,
+        }
+    }
+
+    /// One sequential fetch of `desc_id`: maintains the client's guards
+    /// and picks one, then queries the responsible HSDirs in random
+    /// order, writing logs, observations and counters into the network.
+    fn sequential_fetch_desc_id(
+        &mut self,
+        client: ClientId,
+        desc_id: DescriptorId,
+    ) -> FetchOutcome {
+        self.hot.fetches += 1;
+        self.clients[client.0]
+            .guards
+            .maintain(&self.consensus, self.time, &mut self.rng);
+        let Some(guard) = self.clients[client.0]
+            .guards
+            .pick(&self.consensus, &mut self.rng)
+        else {
+            return FetchOutcome::NoCircuit;
+        };
+        let mut order = [RelayId(usize::MAX); HSDIRS_PER_REPLICA];
+        let n = self.consensus.responsible_hsdirs_into(desc_id, &mut order);
+        if n == 0 {
+            return FetchOutcome::NoHsdirs;
+        }
+        order[..n].shuffle(&mut self.rng);
+        for &hsdir in &order[..n] {
+            let found = self.stores[hsdir.0].contains(desc_id);
+            if self.relays[hsdir.0].logging {
+                self.logs[hsdir.0].record(RequestRecord {
+                    time: self.time,
+                    descriptor_id: desc_id,
+                    found,
+                });
+            }
+            if !found {
+                continue;
+            }
+            if self.relays[hsdir.0].operator != Operator::Honest {
+                if let Some((onion, sig)) = self.signature_for(desc_id) {
+                    let cells = sig.encode_response(3);
+                    if self.relays[guard.0].operator != Operator::Honest && sig.matches(&cells) {
+                        self.guard_observations.push(GuardObservation {
+                            time: self.time,
+                            guard,
+                            client_ip: self.clients[client.0].ip,
+                            onion,
+                        });
+                    }
+                }
+            }
+            return FetchOutcome::Found;
+        }
+        FetchOutcome::NotFound
+    }
+
+    /// The next draw of the network RNG.
+    pub(crate) fn next_draw(&mut self) -> u64 {
+        self.rng.random()
     }
 }

@@ -15,7 +15,7 @@ use onion_crypto::u160::U160;
 use crate::clock::{SimTime, DAY, HOUR};
 use crate::consensus::{Consensus, ConsensusEntry};
 use crate::flags::RelayFlags;
-use crate::network::{HotPathCounters, Network, NetworkBuilder};
+use crate::network::{ClientId, HotPathCounters, Network, NetworkBuilder};
 use crate::relay::{Ipv4, RelayId};
 
 fn consensus_from_fps(fps: &[[u8; 20]]) -> Consensus {
@@ -868,8 +868,8 @@ proptest! {
         let clients: Vec<_> = (0..3u8)
             .map(|k| base.add_client(Ipv4::new(10, 9, 0, k)))
             .collect();
-        // Sequential fetches before the wave leave round load behind
-        // for the overload check to start from.
+        // One-off fetches before the wave leave round load behind for
+        // the overload check to start from.
         for _ in 0..warmup {
             base.client_fetch(clients[0], online);
         }
@@ -921,6 +921,81 @@ proptest! {
                 prop_assert_eq!(planned, reference, "cache {}, onion {}", cache, onion);
             }
         }
+    }
+
+    /// One-off fetches ([`Network::client_fetch`]) with faults inert
+    /// leave the network as the sequential fetch they replaced does:
+    /// the same outcomes in order, `state_hash` (stores, request logs,
+    /// guard observations), hot counters, guard sets and next draw of
+    /// the network RNG. Each case fetches registered online, registered
+    /// offline and phantom onions as new and existing clients, with
+    /// logging HSDirs, optionally attacker HSDirs and guards with an
+    /// armed target, and the descriptor-ID cache on or off; a step may
+    /// run a consensus round between fetches.
+    #[test]
+    fn one_off_fetches_match_the_sequential_reference(
+        net_seed in 0u64..1_000,
+        relays in 30usize..80,
+        hours in 1u64..40,
+        attacker_quarters in 0u64..4,
+        armed in any::<bool>(),
+        cache in any::<bool>(),
+        steps in proptest::collection::vec((0u8..4, 0u8..4), 1..24),
+    ) {
+        use crate::cells::TrafficSignature;
+        use crate::relay::Operator;
+
+        let mut base = NetworkBuilder::new()
+            .relays(relays)
+            .seed(net_seed)
+            .start(SimTime::from_ymd(2013, 2, 1))
+            .build();
+        let onions = [0u8, 1, 2].map(|k| OnionAddress::from_pubkey(&[k, 0x51, net_seed as u8]));
+        base.register_service(onions[0], true);
+        base.register_service(onions[1], false);
+        if armed {
+            base.arm_signature(onions[0], TrafficSignature::default());
+        }
+        for i in 0..relays {
+            let roll = wave::mix2(net_seed, i as u64);
+            let relay = base.relay_mut(RelayId(i));
+            if roll % 4 < attacker_quarters {
+                relay.operator = Operator::Harvester;
+                relay.logging = true;
+            } else {
+                relay.logging = roll.is_multiple_of(3);
+            }
+        }
+        base.advance_hours(hours);
+        base.set_desc_cache_enabled(cache);
+        base.add_client(Ipv4::new(10, 5, 0, 0));
+
+        let run = |one_off: bool| {
+            let mut net = base.clone();
+            let mut outcomes = Vec::new();
+            for &(who, what) in &steps {
+                if what == 3 {
+                    net.advance_hours(1);
+                    continue;
+                }
+                let client = if who == 3 {
+                    net.add_client(Ipv4::new(10, 5, 0, net.client_count() as u8))
+                } else {
+                    ClientId(usize::from(who) % net.client_count())
+                };
+                let onion = onions[usize::from(what)];
+                outcomes.push(if one_off {
+                    net.client_fetch(client, onion)
+                } else {
+                    net.sequential_fetch(client, onion)
+                });
+            }
+            let guards: Vec<String> = (0..net.client_count())
+                .map(|c| format!("{:?}", net.client(ClientId(c)).guards))
+                .collect();
+            (outcomes, net.state_hash(), net.hot_counters(), guards, net.next_draw())
+        };
+        prop_assert_eq!(run(true), run(false));
     }
 
     /// SHA-1-derived ring positions are uniform enough that the

@@ -37,40 +37,10 @@ impl PortReply {
 /// Application-level behaviour of hidden services, provided by the world
 /// generator.
 pub trait ServiceBackend {
-    /// The remote service's reaction to a TCP connection on `port`.
-    fn connect(&self, onion: OnionAddress, port: u16, now: SimTime) -> PortReply;
-
-    /// The replies to one connection on each of `ports`, in order: the
-    /// same as [`ServiceBackend::connect`] per port. A backend can
-    /// override it to look the service up once for all the ports.
-    fn connect_ports(&self, onion: OnionAddress, ports: &[u16], now: SimTime) -> Vec<PortReply> {
-        ports
-            .iter()
-            .map(|&port| self.connect(onion, port, now))
-            .collect()
-    }
-
-    /// Whether the service is online (its Tor process is publishing
-    /// descriptors and accepting rendezvous) at `now`.
-    fn is_online(&self, onion: OnionAddress, now: SimTime) -> bool;
-}
-
-/// Outcome of a full client connection attempt through Tor.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ConnectOutcome {
-    /// No responsible HSDir returned a descriptor.
-    NoDescriptor,
-    /// A descriptor was found but the rendezvous failed (service gone).
-    ServiceUnreachable,
-    /// The connection reached the service; the port replied.
-    Port(PortReply),
-}
-
-impl ConnectOutcome {
-    /// Whether the scan records an open port for this outcome.
-    pub fn counts_as_open(self) -> bool {
-        matches!(self, ConnectOutcome::Port(p) if p.counts_as_open())
-    }
+    /// The replies to one connection on each of `ports`, in order, at
+    /// `now`: the remote service's reaction, or a timeout where no
+    /// service is reachable.
+    fn connect_ports(&self, onion: OnionAddress, ports: &[u16], now: SimTime) -> Vec<PortReply>;
 }
 
 #[cfg(test)]
@@ -83,8 +53,5 @@ mod tests {
         assert!(PortReply::AbnormalClose.counts_as_open());
         assert!(!PortReply::Closed.counts_as_open());
         assert!(!PortReply::Timeout.counts_as_open());
-        assert!(ConnectOutcome::Port(PortReply::Open).counts_as_open());
-        assert!(!ConnectOutcome::NoDescriptor.counts_as_open());
-        assert!(!ConnectOutcome::ServiceUnreachable.counts_as_open());
     }
 }

@@ -186,8 +186,8 @@ fi
 if [ "${1:-}" = "experiments" ]; then
   # Every committed results/<name>.txt, regenerated at scale 0.25 with
   # the default seeds, must come back byte for byte. deanon_rate is
-  # the one run of the sequential Network::client_fetch path outside
-  # the unit tests.
+  # the one run of Network::client_fetch (one-off fetches on the wave
+  # fetch core) outside the unit tests.
   RUN=$(mktemp -d)
   regenerate "$RUN" 0.25
   for current in "$RUN"/*.txt; do
@@ -318,9 +318,10 @@ if [ "${1:-}" = "faults" ]; then
   # Run the committed adversarial fault profile end to end. The run
   # must complete (exit 0) with a *partial* report — the injected certs
   # failure degrades that stage, the flaky geomap stage recovers on
-  # retry — and the stage counters (faults fired, retries absorbed,
-  # stages degraded) must match the committed baseline exactly: fault
-  # injection is deterministic, so any drift is a regression.
+  # retry — and both the report and the stage counters (faults fired,
+  # retries absorbed, stages degraded) must match the committed
+  # baselines exactly: fault injection is deterministic, so any drift
+  # is a regression.
   BASELINE=results/bench_stages_faults_baseline.json
   cargo build --release -q -p hs-landscape --bin landscape
   LANDSCAPE="$(pwd)/target/release/landscape"
@@ -338,6 +339,7 @@ if [ "${1:-}" = "faults" ]; then
   grep -q '"degraded": \[' "$CURRENT" || fail "no degraded section in $CURRENT"
   grep -Eq '"fetch_drops": [1-9]' "$CURRENT" || fail "adversarial plan injected no fetch drops"
   grep -Eq '"relay_crashes": [1-9]' "$CURRENT" || fail "adversarial plan crashed no relays"
+  check_baseline cat results/faults_study_baseline.txt "$RUN/faults_study.txt" "adversarial report"
   check_baseline strip_wall "$BASELINE" "$CURRENT" "fault counters"
   rm -rf "$RUN"
   echo "faults ok"
