@@ -24,6 +24,10 @@
 //! was cancelled, shed, timed out, or whose stage panicked — and the
 //! test suite pins exactly that.
 //!
+//! Each connection writes through one buffer and flushes it once per
+//! reply, plus once right after `RUNNING id=<n>`, so a reply leaves in
+//! one write and the announce reaches the client before the run starts.
+//!
 //! # Epochs
 //!
 //! The resident world is the `Setup` payload in the recompute cache,
@@ -45,12 +49,12 @@
 //! families and scrape-time gauges, some of which race with
 //! connection teardown — as Prometheus text exposition.
 //! Each `RUN_UNTIL` additionally records a wall-clock span tree
-//! (parse → admission → stage attempts → render) into the
+//! (parse → admission → stage attempts → verify → render) into the
 //! [`FlightRecorder`], queryable via `TRACE <id>` / `TRACE DUMP` /
 //! `TRACE ERRORS`.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -69,6 +73,7 @@ use wave::mix2;
 
 use crate::executor::Executor;
 use crate::flight::{FlightRecorder, QueryOutcome, QueryRecord};
+use crate::inject::{InjectAt, Injector};
 use crate::protocol::{parse_request, LineReader, Request, Target, TraceQuery};
 
 /// Seed-domain tag for epoch salts: `mix2(EPOCH_TAG, epoch_id)`.
@@ -78,6 +83,12 @@ const EPOCH_TAG: u64 = 0x6570_6f63_6873_616c;
 /// the stop flag — the upper bound on how long a parked connection can
 /// delay a graceful drain.
 const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Capacity of a connection's reply buffer: room for the largest
+/// routine reply (a `METRICS PROM` scrape is ~14 KiB), so each reply
+/// leaves in one write. A larger reply (`TRACE DUMP`) goes out in
+/// buffer-sized writes.
+const REPLY_BUF: usize = 64 * 1024;
 
 /// Background epoch-ticker cadence: advance the resident world by
 /// `sim_hours` every `wall_ms` of wall time.
@@ -124,14 +135,9 @@ pub struct DaemonConfig {
     pub pool_queue: usize,
     /// Optional background ticker publishing a new epoch on a cadence.
     pub tick_every: Option<TickEvery>,
-    /// Test-only chaos hook: the first admitted `RUN_UNTIL` panics
-    /// after announcing `RUNNING`, exercising slot-release on unwind.
-    pub chaos_panic_once: bool,
-    /// Test-only chaos hook: every tick holds the epoch-build section
-    /// (serialized on the tick mutex, *outside* the epoch mutex) for
-    /// this many wall milliseconds, widening the window concurrency
-    /// tests probe.
-    pub chaos_tick_hold_ms: u64,
+    /// Test-only injection point: lets a test park a tick's build
+    /// section or a query's run start on a barrier, or panic there.
+    pub inject: Option<Arc<Injector>>,
     /// Stderr logger; `debug` adds one line per connection event.
     pub log: Logger,
 }
@@ -152,8 +158,7 @@ impl Default for DaemonConfig {
             workers: 4,
             pool_queue: 16,
             tick_every: None,
-            chaos_panic_once: false,
-            chaos_tick_hold_ms: 0,
+            inject: None,
             log: Logger::off(),
         }
     }
@@ -241,9 +246,15 @@ struct Shared {
     flight: FlightRecorder,
     started_at: Instant,
     stop: AtomicBool,
-    /// Armed copy of [`DaemonConfig::chaos_panic_once`]; the first
-    /// admitted query consumes it.
-    chaos_panic_run: AtomicBool,
+}
+
+impl Shared {
+    /// Lets the test injector act at `at`, if one is installed.
+    fn inject(&self, at: InjectAt) {
+        if let Some(injector) = &self.cfg.inject {
+            injector.reach(at);
+        }
+    }
 }
 
 /// Unblocks a listener parked in `accept` by completing one throwaway
@@ -373,7 +384,6 @@ impl Daemon {
             flight: FlightRecorder::new(cfg.flight_capacity, cfg.flight_errors),
             started_at: Instant::now(),
             stop: AtomicBool::new(false),
-            chaos_panic_run: AtomicBool::new(cfg.chaos_panic_once),
             cfg,
         });
         Ok(Daemon { listener, shared })
@@ -478,12 +488,12 @@ fn dispatch_connection(stream: TcpStream, shared: &Arc<Shared>) {
     });
     if !accepted {
         let pool = &shared.pool;
-        let _ = writeln!(
-            reject_handle,
-            "BUSY pool workers={} queue={}",
+        let busy = format!(
+            "BUSY pool workers={} queue={}\n",
             pool.workers(),
             pool.queue_cap()
         );
+        let _ = reject_handle.write_all(busy.as_bytes());
         shared.telemetry.busy.inc();
         shared.cfg.log.debug(format_args!("conn: shed (pool full)"));
     }
@@ -532,14 +542,17 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         return;
     };
     let mut reader = LineReader::new(BufReader::new(read_half));
-    let mut writer = stream;
+    let mut writer = BufWriter::with_capacity(REPLY_BUF, stream);
     loop {
         let line = match reader.next_line_until(&mut || shared.stop.load(Ordering::Acquire)) {
             Ok(Some(Ok(line))) => line,
             Ok(Some(Err(err))) => {
                 shared.telemetry.protocol_errors.inc();
                 log.debug(format_args!("conn {peer}: framing error ({})", err.reply()));
-                if writeln!(writer, "{}", err.reply()).is_err() {
+                if writeln!(writer, "{}", err.reply())
+                    .and_then(|()| writer.flush())
+                    .is_err()
+                {
                     return;
                 }
                 continue;
@@ -555,7 +568,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             Err(err) => {
                 shared.telemetry.protocol_errors.inc();
                 log.debug(format_args!("conn {peer}: parse error ({})", err.reply()));
-                if writeln!(writer, "{}", err.reply()).is_err() {
+                if writeln!(writer, "{}", err.reply())
+                    .and_then(|()| writer.flush())
+                    .is_err()
+                {
                     return;
                 }
                 continue;
@@ -564,7 +580,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
         let parse_us = micros_since(parse_started);
         log.debug(format_args!("conn {peer}: {line}"));
         let done = matches!(request, Request::Shutdown);
-        if handle_request(request, parse_us, &peer, shared, &mut writer).is_err() {
+        if handle_request(request, parse_us, &peer, shared, &mut writer)
+            .and_then(|()| writer.flush())
+            .is_err()
+        {
             return;
         }
         if done {
@@ -582,15 +601,16 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Executes one parsed request and writes its reply. `parse_us` is the
-/// wall time the protocol parser spent on this line; it seeds the
-/// flight-recorder span tree for `RUN_UNTIL` queries.
+/// Executes one parsed request and writes its reply into `w`, which
+/// the caller flushes. `parse_us` is the wall time the protocol parser
+/// spent on this line; it seeds the flight-recorder span tree for
+/// `RUN_UNTIL` queries.
 fn handle_request(
     request: Request,
     parse_us: u64,
     peer: &str,
     shared: &Shared,
-    w: &mut TcpStream,
+    w: &mut impl Write,
 ) -> io::Result<()> {
     match request {
         Request::Ping => writeln!(w, "OK PONG"),
@@ -610,7 +630,7 @@ fn handle_request(
     }
 }
 
-fn reply_status(full: bool, shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_status(full: bool, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let epoch = *locked(&shared.epoch);
     writeln!(w, "OK STATUS")?;
     writeln!(w, "epoch={}", epoch.id)?;
@@ -645,7 +665,7 @@ fn reply_status(full: bool, shared: &Shared, w: &mut TcpStream) -> io::Result<()
     writeln!(w, ".")
 }
 
-fn reply_metrics(shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_metrics(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let cache = shared.cache.counters();
     let t = &shared.telemetry;
     writeln!(w, "OK METRICS")?;
@@ -667,7 +687,7 @@ fn reply_metrics(shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
 /// `METRICS PROM`: mirrors the scrape-time state (cache counters,
 /// inflight, epoch age, ring occupancy) into the registry, then
 /// renders the whole thing as Prometheus text exposition.
-fn reply_metrics_prom(shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_metrics_prom(shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let t = &shared.telemetry;
     let reg = &t.registry;
     let cache = shared.cache.counters();
@@ -712,7 +732,7 @@ fn reply_metrics_prom(shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
     writeln!(w, ".")
 }
 
-fn reply_trace(query: TraceQuery, shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_trace(query: TraceQuery, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     match query {
         TraceQuery::Query(id) => match shared.flight.get(id) {
             Some(record) => {
@@ -747,7 +767,7 @@ fn epoch_keys(shared: &Shared, salt: u64) -> [CacheKey; 9] {
     derive_keys(shared.cfg.study.seed, shared.cfg.study.fingerprint(), salt)
 }
 
-fn reply_get(stage: StageId, full: bool, shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_get(stage: StageId, full: bool, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let epoch = *locked(&shared.epoch);
     let keys = epoch_keys(shared, epoch.salt);
     // `fetch_uncounted`: a read-only artifact query must not skew the
@@ -857,7 +877,7 @@ fn render_full(payload: &StagePayload) -> Vec<String> {
         .collect()
 }
 
-fn reply_cancel(id: u64, shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_cancel(id: u64, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     let token = locked(&shared.queries).get(&id).cloned();
     match token {
         Some(token) => {
@@ -898,11 +918,7 @@ fn advance_epoch(shared: &Shared, hours: u64) -> Result<Epoch, TickError> {
     else {
         return Err(TickError::Evicted { epoch: epoch.id });
     };
-    if shared.cfg.chaos_tick_hold_ms > 0 {
-        // Chaos hook: stretch the build section so concurrency tests
-        // can prove readers are not blocked during it.
-        thread::sleep(Duration::from_millis(shared.cfg.chaos_tick_hold_ms));
-    }
+    shared.inject(InjectAt::TickBuild);
     let mut net = bundle.net.clone();
     net.advance_hours(hours);
     let next = Epoch {
@@ -935,7 +951,7 @@ fn advance_epoch(shared: &Shared, hours: u64) -> Result<Epoch, TickError> {
     Ok(next)
 }
 
-fn reply_tick(hours: u64, shared: &Shared, w: &mut TcpStream) -> io::Result<()> {
+fn reply_tick(hours: u64, shared: &Shared, w: &mut impl Write) -> io::Result<()> {
     match advance_epoch(shared, hours) {
         Ok(next) => writeln!(
             w,
@@ -968,8 +984,8 @@ impl Drop for SlotGuard<'_> {
 
 /// Admission, execution, and the terminal reply for `RUN_UNTIL`.
 /// Besides the reply, every admitted query leaves a wall-clock span
-/// tree (parse → admission → run → stage attempts → render) in the
-/// flight recorder.
+/// tree (parse → admission → run → stage attempts → verify → render)
+/// in the flight recorder.
 fn reply_run(
     target: Target,
     wall_ms: Option<u64>,
@@ -977,7 +993,7 @@ fn reply_run(
     parse_us: u64,
     peer: &str,
     shared: &Shared,
-    w: &mut TcpStream,
+    w: &mut impl Write,
 ) -> io::Result<()> {
     let t = &shared.telemetry;
     let query_started = Instant::now();
@@ -1005,8 +1021,9 @@ fn reply_run(
     }
     // All span offsets are micros since parse start; admission and
     // everything after it happened `parse_us` into the query.
-    let admitted_at = parse_us + micros_since(query_started);
-    t.admission_wait_us.observe(admitted_at - parse_us);
+    let since_parse = || parse_us + micros_since(query_started);
+    let admitted = since_parse();
+    t.admission_wait_us.observe(admitted - parse_us);
 
     let id = shared.next_id.fetch_add(1, Ordering::Relaxed) + 1;
     let token = CancelToken::new();
@@ -1022,12 +1039,7 @@ fn reply_run(
     // Announce the id before doing any work, so a second connection
     // can CANCEL this query while it runs.
     let announced = writeln!(w, "RUNNING id={id}").and_then(|()| w.flush());
-
-    if shared.chaos_panic_run.swap(false, Ordering::AcqRel) {
-        // Chaos hook: simulate a panic escaping the run path (e.g. a
-        // poisoned analysis scope) after the slot is held.
-        panic!("chaos: injected panic after admission (query id={id})");
-    }
+    shared.inject(InjectAt::RunStart);
 
     let epoch = *locked(&shared.epoch);
     let wall = wall_ms.or(shared.cfg.default_wall_ms);
@@ -1039,11 +1051,11 @@ fn reply_run(
         epoch_salt: epoch.salt,
     };
     let mode = ExecMode::sequential().with_wave_threads(shared.cfg.wave_threads);
-    let run_started_at = parse_us + micros_since(query_started);
+    let run_started = since_parse();
     let run = shared
         .pipeline
         .run_controlled(&target.stages(), mode, RunOptions::default(), &ctl);
-    let run_ended_at = parse_us + micros_since(query_started);
+    let run_ended = since_parse();
 
     // Release the slot at the same point the pre-guard code did, so
     // admission capacity frees before the reply renders.
@@ -1057,10 +1069,12 @@ fn reply_run(
     announced?;
 
     // Containment proof: the epoch's resident world, re-hashed after
-    // the query. Immutable payloads make this equal to the pre-query
-    // hash no matter how the query ended. Cache hits install pointers,
-    // so this re-hash is most of a cached query's cost; it is kept on
-    // purpose, since memoizing it would prove nothing.
+    // the query — the `verify` span. Immutable payloads make this
+    // equal to the pre-query hash no matter how the query ended. Cache
+    // hits install pointers, so a cached query pays for little else;
+    // the re-hash runs on every query on purpose, since a memoized
+    // hash would prove nothing about the world the query left behind.
+    let verify_started = since_parse();
     let world_after = match shared
         .cache
         .fetch_uncounted(epoch_keys(shared, epoch.salt)[StageId::Setup as usize])
@@ -1068,48 +1082,60 @@ fn reply_run(
         Some(StagePayload::Setup(bundle)) => bundle.net.state_hash(),
         _ => epoch.world_hash,
     };
-    let render_started_at = parse_us + micros_since(query_started);
-    let written = write_run_reply(id, &epoch, world_after, &run, shared, w);
-    let total_us = parse_us + micros_since(query_started);
+    let render_started = since_parse();
+    // The flush belongs to `render`: the span ends once the reply is
+    // handed to the socket.
+    let written = write_run_reply(id, &epoch, world_after, &run, shared, w)
+        .and_then(|outcome| w.flush().map(|()| outcome));
+    let marks = Marks {
+        parsed: parse_us,
+        admitted,
+        run_started,
+        run_ended,
+        verify_started,
+        render_started,
+        done: since_parse(),
+    };
     let outcome = match &written {
         Ok(outcome) => *outcome,
         Err(_) => QueryOutcome::Err,
     };
-    t.query_wall_us.observe(total_us);
-    shared.flight.record(flight_record(
-        id,
-        target,
-        outcome,
-        parse_us,
-        admitted_at,
-        run_started_at,
-        run_ended_at,
-        render_started_at,
-        total_us,
-        &run,
-    ));
+    t.query_wall_us.observe(marks.done);
+    shared
+        .flight
+        .record(flight_record(id, target, outcome, &marks, &run));
     shared.cfg.log.debug(format_args!(
-        "conn {peer}: query id={id} outcome={} wall_us={total_us}",
-        outcome.name()
+        "conn {peer}: query id={id} outcome={} wall_us={}",
+        outcome.name(),
+        marks.done
     ));
     written.map(|_| ())
+}
+
+/// Where one query's phases begin and end, in wall microseconds since
+/// its parse started: parse `0..parsed`, admission `parsed..admitted`,
+/// run `run_started..run_ended`, verify `verify_started..render_started`
+/// and render `render_started..done`.
+#[derive(Clone, Copy, Debug)]
+struct Marks {
+    parsed: u64,
+    admitted: u64,
+    run_started: u64,
+    run_ended: u64,
+    verify_started: u64,
+    render_started: u64,
+    done: u64,
 }
 
 /// Assembles the wall-clock span tree for one completed query. Stage
 /// spans are laid out cumulatively inside the `run` span in execution
 /// order — an approximation when a forked level overlaps stages,
 /// exact under sequential execution (the daemon's mode).
-#[allow(clippy::too_many_arguments)]
 fn flight_record(
     id: u64,
     target: Target,
     outcome: QueryOutcome,
-    parse_us: u64,
-    admitted_at: u64,
-    run_started_at: u64,
-    run_ended_at: u64,
-    render_started_at: u64,
-    total_us: u64,
+    marks: &Marks,
     run: &PipelineRun,
 ) -> QueryRecord {
     let mut spans = Vec::new();
@@ -1122,22 +1148,27 @@ fn flight_record(
         wall_us: Some((start, end)),
         args: Vec::new(),
     };
-    let mut query_span = wall_span("query".to_owned(), "query", 0, total_us);
+    let mut query_span = wall_span("query".to_owned(), "query", 0, marks.done);
     query_span.args.push(("id", id));
     spans.push(query_span);
-    spans.push(wall_span("parse".to_owned(), "query", 0, parse_us));
+    spans.push(wall_span("parse".to_owned(), "query", 0, marks.parsed));
     spans.push(wall_span(
         "admission".to_owned(),
         "query",
-        parse_us,
-        admitted_at,
+        marks.parsed,
+        marks.admitted,
     ));
-    let mut run_span = wall_span("run".to_owned(), "query", run_started_at, run_ended_at);
+    let mut run_span = wall_span(
+        "run".to_owned(),
+        "query",
+        marks.run_started,
+        marks.run_ended,
+    );
     run_span
         .args
         .push(("ran", run.timings.executed.len() as u64));
     spans.push(run_span);
-    let mut cursor = run_started_at;
+    let mut cursor = marks.run_started;
     for timing in &run.timings.executed {
         let wall_us = u64::try_from(timing.wall.as_micros()).unwrap_or(u64::MAX);
         let cached = timing.counter("stage_cache_hit").is_some();
@@ -1163,7 +1194,7 @@ fn flight_record(
         events.push(TraceEvent {
             kind: EventKind::Degraded,
             sim_at: 0,
-            wall_us: Some(run_ended_at),
+            wall_us: Some(marks.run_ended),
             args: vec![
                 ("stage", degraded.stage as u64),
                 ("attempts", u64::from(degraded.attempts)),
@@ -1174,15 +1205,21 @@ fn flight_record(
         events.push(TraceEvent {
             kind: EventKind::Halt,
             sim_at: 0,
-            wall_us: Some(run_ended_at),
+            wall_us: Some(marks.run_ended),
             args: vec![("halted", run.timings.halted.len() as u64)],
         });
     }
     spans.push(wall_span(
+        "verify".to_owned(),
+        "query",
+        marks.verify_started,
+        marks.render_started,
+    ));
+    spans.push(wall_span(
         "render".to_owned(),
         "query",
-        render_started_at,
-        total_us,
+        marks.render_started,
+        marks.done,
     ));
     QueryRecord {
         id,
@@ -1199,7 +1236,7 @@ fn write_run_reply(
     world_after: u64,
     run: &PipelineRun,
     shared: &Shared,
-    w: &mut TcpStream,
+    w: &mut impl Write,
 ) -> io::Result<QueryOutcome> {
     let t = &shared.telemetry;
     let ran = run.timings.executed.len();

@@ -3,8 +3,9 @@
 //!
 //! Every `RUN_UNTIL` query assembles a [`QueryRecord`] — its request
 //! line, outcome, and the wall-clock span tree the daemon recorded
-//! around parse, admission, the stage attempts and the reply render —
-//! and deposits it here. The main ring keeps the most recent
+//! around parse, admission, the stage attempts, the containment
+//! re-hash (`verify`) and the reply render — and deposits it here.
+//! The main ring keeps the most recent
 //! [`FlightRecorder::capacity`] records; queries that ended in `ERR`
 //! or `PARTIAL` are *also* pinned in a last-errors ring so a burst of
 //! healthy traffic cannot flush the evidence of the last failure out
@@ -62,7 +63,7 @@ pub struct QueryRecord {
     /// How the query ended.
     pub outcome: QueryOutcome,
     /// Completed spans in recording order (parse, admission, stage
-    /// attempts, render).
+    /// attempts, verify, render).
     pub spans: Vec<Span>,
     /// Instant events (cache hits, degradations, halts).
     pub events: Vec<TraceEvent>,

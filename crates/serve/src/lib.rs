@@ -44,10 +44,12 @@ pub mod client;
 pub mod daemon;
 pub mod executor;
 pub mod flight;
+pub mod inject;
 pub mod protocol;
 
 pub use client::Client;
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle, TickEvery};
 pub use executor::Executor;
 pub use flight::{FlightRecorder, QueryOutcome, QueryRecord};
+pub use inject::{InjectAt, Injector};
 pub use protocol::{parse_request, LineReader, ProtocolError, Request, Target, MAX_LINE};

@@ -4,10 +4,11 @@
 //! failed queries), and a chaos soak under the adversarial fault
 //! profile.
 
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use hs_landscape::StudyConfig;
-use hs_serve::{Client, Daemon, DaemonConfig, DaemonHandle};
+use hs_serve::{Client, Daemon, DaemonConfig, DaemonHandle, InjectAt, Injector};
 
 /// A daemon provisioned for tests: tiny study, OS-assigned port.
 fn spawn(mutate: impl FnOnce(&mut DaemonConfig)) -> (DaemonHandle, Client) {
@@ -173,29 +174,60 @@ fn cancel_unknown_query_is_a_typed_error() {
 
 #[test]
 fn cancel_from_second_connection_halts_query_and_world_is_stable() {
-    let (handle, mut control) = spawn(|_| {});
+    let inject = Arc::new(Injector::default());
+    inject.park(InjectAt::RunStart);
+    let (handle, mut control) = spawn(|cfg| cfg.inject = Some(inject.clone()));
     let world = status_world(&mut control);
     let addr = handle.addr();
 
+    // The runner forwards each reply line as it arrives.
+    let (lines, rx) = mpsc::channel();
     let runner = std::thread::spawn(move || {
         let mut client = Client::connect_retry(addr, Duration::from_secs(10)).expect("connect");
-        client.request("RUN_UNTIL all").expect("run")
+        client.send("RUN_UNTIL all").expect("send");
+        for _ in 0..2 {
+            lines
+                .send(client.read_line().expect("reply line"))
+                .expect("forward");
+        }
     });
 
-    // The query announced its id before starting work; cancel it from
-    // this connection. If it finishes first the cancel just misses —
-    // both interleavings must leave the world untouched.
-    std::thread::sleep(Duration::from_millis(150));
-    let cancel = control.request("CANCEL 1").unwrap();
-    let reply = runner.join().expect("runner thread");
+    // The query announced its id before starting work: the announce
+    // arrives while the run is parked at its start.
+    inject.wait_parked(InjectAt::RunStart);
+    assert_eq!(rx.recv().expect("announce"), "RUNNING id=1");
+    assert!(
+        inject.parked(InjectAt::RunStart),
+        "RUNNING arrived only after the run started"
+    );
+    assert_eq!(
+        control.request("CANCEL 1").unwrap(),
+        vec!["OK CANCEL id=1".to_owned()]
+    );
+    inject.release(InjectAt::RunStart);
+    let terminal = rx.recv().expect("terminal");
+    runner.join().expect("runner thread");
+    assert!(terminal.starts_with("PARTIAL RUN id=1 "), "{terminal}");
+    assert_eq!(field(&terminal, "halt"), "cancelled");
+    assert_eq!(field(&terminal, "ran"), "0");
+    assert_eq!(field(&terminal, "world"), world);
+    assert_eq!(status_world(&mut control), world);
+}
+
+#[test]
+fn cancel_after_a_query_finished_is_unknown_and_world_is_stable() {
+    let (handle, mut control) = spawn(|_| {});
+    let world = status_world(&mut control);
+    let mut runner = Client::connect_retry(handle.addr(), Duration::from_secs(10)).expect("conn");
+    let reply = runner.request("RUN_UNTIL all").unwrap();
     assert_eq!(reply[0], "RUNNING id=1");
-    let terminal = &reply[1];
-    if cancel == vec!["OK CANCEL id=1".to_owned()] && terminal.starts_with("PARTIAL") {
-        assert_eq!(field(terminal, "halt"), "cancelled");
-    } else {
-        assert!(terminal.starts_with("OK RUN id=1 "), "{terminal}");
-    }
-    assert_eq!(field(terminal, "world"), world);
+    assert!(reply[1].starts_with("OK RUN id=1 "), "{reply:?}");
+    // The finished query released its cancel token with its slot.
+    assert_eq!(
+        control.request("CANCEL 1").unwrap(),
+        vec!["ERR unknown_query: id=1".to_owned()]
+    );
+    assert_eq!(field(&reply[1], "world"), world);
     assert_eq!(status_world(&mut control), world);
 }
 

@@ -6,13 +6,13 @@
 //! `GET <stage> FULL` projections, byte for byte against the batch
 //! render of the daemon's own world.
 
-use std::sync::mpsc;
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use hs_landscape::pipeline::Pipeline;
 use hs_landscape::{report, ExecMode, StageId, StudyConfig};
-use hs_serve::{Client, Daemon, DaemonConfig, DaemonHandle, TickEvery};
+use hs_serve::{Client, Daemon, DaemonConfig, DaemonHandle, InjectAt, Injector, TickEvery};
 
 /// A daemon provisioned for tests: tiny study, OS-assigned port.
 fn spawn(mutate: impl FnOnce(&mut DaemonConfig)) -> (DaemonHandle, Client) {
@@ -70,9 +70,11 @@ fn shutdown_drains_promptly_with_parked_connections() {
 fn panicking_query_frees_its_slot_and_token() {
     // max_inflight=1: if the panicked query leaked its slot, the next
     // RUN_UNTIL would shed BUSY forever — the exact bug this pins.
+    let inject = Arc::new(Injector::default());
+    inject.panic(InjectAt::RunStart);
     let (handle, mut first) = spawn(|cfg| {
         cfg.max_inflight = 1;
-        cfg.chaos_panic_once = true;
+        cfg.inject = Some(inject.clone());
     });
     first.send("RUN_UNTIL setup").unwrap();
     assert_eq!(first.read_line().unwrap(), "RUNNING id=1");
@@ -100,33 +102,24 @@ fn panicking_query_frees_its_slot_and_token() {
 
 #[test]
 fn status_completes_while_a_tick_is_in_flight() {
-    // The chaos hold stretches the tick's build section (outside the
-    // epoch mutex). Before the fix the whole tick ran under the epoch
-    // mutex, so this STATUS would block for the full second.
-    let (handle, mut ticker) = spawn(|cfg| cfg.chaos_tick_hold_ms = 1000);
-    let (tx, rx) = mpsc::channel();
-    let tick_thread = thread::spawn(move || {
-        let reply = ticker.request("TICK 24").unwrap();
-        let _ = tx.send(());
-        reply
-    });
-    // Let the tick enter its hold.
-    thread::sleep(Duration::from_millis(200));
-    assert!(
-        rx.try_recv().is_err(),
-        "tick finished before STATUS could race it"
-    );
+    // The tick parks in its build section (outside the epoch mutex)
+    // until this test releases it. Before the fix the whole tick ran
+    // under the epoch mutex, so this STATUS would wait for the release.
+    let inject = Arc::new(Injector::default());
+    inject.park(InjectAt::TickBuild);
+    let (handle, mut ticker) = spawn(|cfg| cfg.inject = Some(inject.clone()));
+    let tick_thread = thread::spawn(move || ticker.request("TICK 24").unwrap());
+    inject.wait_parked(InjectAt::TickBuild);
     let mut reader = Client::connect_retry(handle.addr(), Duration::from_secs(10)).expect("conn");
-    let started = Instant::now();
     let status = reader.request("STATUS").unwrap();
-    let elapsed = started.elapsed();
     assert_eq!(status[0], "OK STATUS");
     // Still the old epoch: the swap has not landed yet.
     assert!(status.contains(&"epoch=0".to_owned()), "{status:?}");
     assert!(
-        elapsed < Duration::from_millis(500),
-        "STATUS stalled behind the tick: {elapsed:?}"
+        inject.parked(InjectAt::TickBuild),
+        "STATUS answered only after the tick left its build section"
     );
+    inject.release(InjectAt::TickBuild);
     let tick_reply = tick_thread.join().unwrap();
     assert!(tick_reply[0].starts_with("OK TICK hours=24 epoch=1"));
     drop(handle);

@@ -877,77 +877,73 @@ impl Network {
     /// cancelled, deadline-expired, or panicking query left the shared
     /// world byte-identical, and to name world epochs in cache keys.
     ///
+    /// The daemon re-hashes after every query, so the digest is built
+    /// to be cheap and steady: the state is read as one stream of
+    /// 64-bit words and folded by `WordChain`, one SplitMix finalizer a
+    /// word. Replacing any one word always changes the digest.
+    ///
     /// Observability state (hot counters, round traces, wave stats)
     /// and the RNG cursor are deliberately excluded: they never feed
     /// back into protocol decisions, so including them would make the
     /// digest flag divergences no client can observe.
     pub fn state_hash(&self) -> u64 {
-        fn fold(h: u64, v: u64) -> u64 {
-            wave::mix2(h, v)
-        }
-        fn fold8(h: u64, bytes: &[u8]) -> u64 {
-            let mut b = [0u8; 8];
-            let n = bytes.len().min(8);
-            b[..n].copy_from_slice(&bytes[..n]);
-            fold(h, u64::from_le_bytes(b))
-        }
-        let mut h: u64 = 0x6c61_6e64_7363_6170; // "landscap"
-        h = fold(h, self.time.unix());
-        h = fold(h, self.consensus_interval);
-        h = fold(h, self.relays.len() as u64);
+        let mut h = WordChain::new(0x6c61_6e64_7363_6170); // "landscap"
+        h.word(self.time.unix());
+        h.word(self.consensus_interval);
+        h.word(self.relays.len() as u64);
         for r in &self.relays {
-            h = fold(h, r.id.0 as u64);
-            h = fold8(h, r.identity.fingerprint().digest().as_bytes());
-            h = fold(h, u64::from(r.ip.0));
-            h = fold(h, u64::from(r.or_port));
-            h = fold(h, r.bandwidth);
+            h.word(r.id.0 as u64);
+            h.word8(r.identity.fingerprint().digest().as_bytes());
+            h.word(u64::from(r.ip.0));
+            h.word(u64::from(r.or_port));
+            h.word(r.bandwidth);
             let bits =
                 u64::from(r.running) | u64::from(r.reachable) << 1 | u64::from(r.logging) << 2;
-            h = fold(h, bits);
-            h = fold(h, r.last_restart.unix());
+            h.word(bits);
+            h.word(r.last_restart.unix());
         }
-        h = fold(h, self.consensus.valid_after().unix());
-        h = fold(h, self.consensus.len() as u64);
+        h.word(self.consensus.valid_after().unix());
+        h.word(self.consensus.len() as u64);
         for e in self.consensus.entries() {
-            h = fold(h, e.relay.0 as u64);
-            h = fold8(h, e.fingerprint.digest().as_bytes());
-            h = fold(h, e.bandwidth);
+            h.word(e.relay.0 as u64);
+            h.word8(e.fingerprint.digest().as_bytes());
+            h.word(e.bandwidth);
         }
         for (sid, rec) in self.svc.registered() {
-            h = fold8(h, rec.onion.permanent_id().as_bytes());
-            h = fold(h, u64::from(rec.online));
-            h = fold(h, self.svc.slot_hours(sid));
-            h = fold(h, u64::from(self.svc.signature(sid).is_some()));
+            h.word8(rec.onion.permanent_id().as_bytes());
+            h.word(u64::from(rec.online));
+            h.word(self.svc.slot_hours(sid));
+            h.word(u64::from(self.svc.signature(sid).is_some()));
         }
         for store in &self.stores {
-            h = fold(h, store.len() as u64);
+            h.word(store.len() as u64);
             for d in store.iter() {
-                h = fold8(h, d.descriptor_id.digest().as_bytes());
-                h = fold8(h, d.onion.permanent_id().as_bytes());
-                h = fold(h, d.published.unix());
+                h.word8(d.descriptor_id.digest().as_bytes());
+                h.word8(d.onion.permanent_id().as_bytes());
+                h.word(d.published.unix());
             }
         }
         for log in &self.logs {
-            h = fold(h, log.len() as u64);
+            h.word(log.len() as u64);
             for rec in log.records() {
-                h = fold(h, rec.time.unix());
-                h = fold8(h, rec.descriptor_id.digest().as_bytes());
-                h = fold(h, u64::from(rec.found));
+                h.word(rec.time.unix());
+                h.word8(rec.descriptor_id.digest().as_bytes());
+                h.word(u64::from(rec.found));
             }
         }
-        h = fold(h, self.clients.len() as u64);
+        h.word(self.clients.len() as u64);
         for c in &self.clients {
-            h = fold(h, u64::from(c.ip.0));
+            h.word(u64::from(c.ip.0));
         }
-        h = fold(h, self.guard_observations.len() as u64);
+        h.word(self.guard_observations.len() as u64);
         for o in &self.guard_observations {
-            h = fold(h, o.time.unix());
-            h = fold(h, o.guard.0 as u64);
-            h = fold(h, u64::from(o.client_ip.0));
-            h = fold8(h, o.onion.permanent_id().as_bytes());
+            h.word(o.time.unix());
+            h.word(o.guard.0 as u64);
+            h.word(u64::from(o.client_ip.0));
+            h.word8(o.onion.permanent_id().as_bytes());
         }
-        h = fold(h, self.coverage_recorded_hour.unwrap_or(u64::MAX));
-        h
+        h.word(self.coverage_recorded_hour.unwrap_or(u64::MAX));
+        h.finish()
     }
 
     /// Replaces the fault plan (and resets all fault state: schedules,
@@ -1409,6 +1405,55 @@ impl Network {
             }
         }
         None
+    }
+}
+
+/// The word accumulator behind [`Network::state_hash`]: one SplitMix
+/// chain, `chain = mix(chain ^ word)` for each word, finished by
+/// folding the word count through `mix2`. Each step is a bijection in
+/// the word it takes and in the chain value, and so is the finish, so
+/// replacing any one word of a stream always changes the digest.
+///
+/// One finalizer per word keeps the digest bound by the chain's
+/// latency, so its cost holds when the core's other hardware thread
+/// gets busy. Independent lanes are faster on an idle core but bound by
+/// multiply throughput, which halves while that thread runs: on a
+/// shared 2-vCPU VM eight lanes read ~65 µs or ~130 µs per hash of the
+/// scale-0.1 serve world, switching every few seconds, where this chain
+/// reads ~255 µs within ±8 %.
+#[derive(Debug)]
+pub(crate) struct WordChain {
+    chain: u64,
+    words: u64,
+}
+
+impl WordChain {
+    pub(crate) fn new(seed: u64) -> Self {
+        WordChain {
+            chain: seed,
+            words: 0,
+        }
+    }
+
+    /// Folds one word into the chain.
+    #[inline]
+    pub(crate) fn word(&mut self, w: u64) {
+        self.chain = wave::mix(self.chain ^ w);
+        self.words += 1;
+    }
+
+    /// Folds the first eight bytes of `bytes` (zero-padded, little
+    /// endian) as one word.
+    #[inline]
+    pub(crate) fn word8(&mut self, bytes: &[u8]) {
+        let mut b = [0u8; 8];
+        let n = bytes.len().min(8);
+        b[..n].copy_from_slice(&bytes[..n]);
+        self.word(u64::from_le_bytes(b));
+    }
+
+    pub(crate) fn finish(&self) -> u64 {
+        wave::mix2(self.chain, self.words)
     }
 }
 
@@ -2704,6 +2749,123 @@ mod tests {
             net.state_hash()
         };
         assert_eq!(run(true), run(false));
+    }
+
+    /// Asserts that `changed` moves the digest of a copy of `base`
+    /// away from that of a copy that only ran `same`, and that two
+    /// copies that ran `same` hash equal.
+    fn assert_moves(
+        base: &Network,
+        what: &str,
+        same: impl Fn(&mut Network),
+        changed: impl Fn(&mut Network),
+    ) {
+        let mut a = base.clone();
+        same(&mut a);
+        let mut again = base.clone();
+        same(&mut again);
+        assert_eq!(again.state_hash(), a.state_hash(), "{what}: copies differ");
+        let mut b = base.clone();
+        changed(&mut b);
+        assert_ne!(a.state_hash(), b.state_hash(), "{what} left the digest");
+    }
+
+    #[test]
+    fn state_hash_moves_with_every_piece_of_protocol_state() {
+        let onions: Vec<OnionAddress> = (0..4u8)
+            .map(|k| OnionAddress::from_pubkey(&[k, 0xd1]))
+            .collect();
+        let mut base = steady_net();
+        for i in 0..base.relays().len() {
+            base.relay_mut(RelayId(i)).logging = true;
+        }
+        for &o in &onions {
+            base.register_service(o, true);
+        }
+        let client = base.add_client(Ipv4::new(10, 0, 0, 1));
+        base.advance_hours(2);
+        assert_eq!(base.client_fetch(client, onions[0]), FetchOutcome::Found);
+        assert_eq!(base.clone().state_hash(), base.state_hash());
+
+        let (relay, id, _) = entries_of(&base, onions[0])[0];
+        let log = (0..base.logs.len())
+            .find(|&i| !base.logs[i].is_empty())
+            .expect("a logged fetch");
+        let sid = base.svc.get(onions[1]).expect("registered");
+        let later = base.time() + HOUR;
+        let keep = |_: &mut Network| {};
+        // A frozen entry that expires a day after `later`'s round.
+        let retire = |n: &mut Network| {
+            n.stores[relay].retire(id);
+            n.stores[relay].stamp(later);
+        };
+
+        assert_moves(&base, "clock", keep, |n| n.time += 1);
+        assert_moves(&base, "running", keep, |n| n.relays[3].running ^= true);
+        assert_moves(&base, "reachable", keep, |n| n.relays[3].reachable ^= true);
+        assert_moves(&base, "logging", keep, |n| n.relays[3].logging ^= true);
+        assert_moves(&base, "bandwidth", keep, |n| n.relays[3].bandwidth += 1);
+        assert_moves(&base, "consensus", keep, |n| {
+            let entries = n.consensus.entries()[1..].to_vec();
+            n.consensus = Consensus::new(n.consensus.valid_after(), entries);
+        });
+        assert_moves(&base, "liveness", keep, |n| {
+            n.set_service_online(onions[1], false)
+        });
+        // The row earns one slot-hour more in the same coverage hour.
+        let earn = |rate: u8| {
+            move |n: &mut Network| {
+                n.svc.set_rate(sid, rate);
+                n.svc.record_coverage_hour();
+            }
+        };
+        assert_moves(&base, "slot-hours", earn(1), earn(2));
+        assert_moves(&base, "armed signature", keep, |n| {
+            n.arm_signature(onions[1], TrafficSignature::new(3))
+        });
+        assert_moves(&base, "store entry added", keep, |n| {
+            let extra = OnionAddress::from_pubkey(b"one more entry");
+            n.stores[relay].publish(StoredDescriptor {
+                descriptor_id: DescriptorId::pair_at(extra, n.time.unix())[0],
+                onion: extra,
+                published: n.time,
+            });
+        });
+        // A retired entry reads like a live one until the store's next
+        // round.
+        assert_moves(
+            &base,
+            "store entry retired",
+            |n| n.stores[relay].stamp(later),
+            retire,
+        );
+        assert_moves(&base, "store entry expired", retire, |n| {
+            retire(n);
+            let before = n.stores[relay].len();
+            n.stores[relay].expire(n.time + DAY);
+            assert_eq!(n.stores[relay].len(), before - 1, "one entry expires");
+        });
+        assert_moves(&base, "request-log record", keep, |n| {
+            let mut records = n.logs[log].take();
+            records[0].found ^= true;
+            for r in records {
+                n.logs[log].record(r);
+            }
+        });
+        assert_moves(&base, "client", keep, |n| {
+            n.clients[client.0].ip = Ipv4::new(10, 0, 0, 2)
+        });
+        assert_moves(&base, "guard observation", keep, |n| {
+            n.guard_observations.push(GuardObservation {
+                time: n.time,
+                guard: RelayId(0),
+                client_ip: Ipv4::new(10, 0, 0, 1),
+                onion: onions[0],
+            })
+        });
+        assert_moves(&base, "coverage_recorded_hour", keep, |n| {
+            n.coverage_recorded_hour = Some(n.coverage_recorded_hour.map_or(0, |h| h + 1))
+        });
     }
 
     #[test]

@@ -15,7 +15,7 @@ use onion_crypto::u160::U160;
 use crate::clock::{SimTime, DAY, HOUR};
 use crate::consensus::{Consensus, ConsensusEntry};
 use crate::flags::RelayFlags;
-use crate::network::{ClientId, HotPathCounters, Network, NetworkBuilder};
+use crate::network::{ClientId, HotPathCounters, Network, NetworkBuilder, WordChain};
 use crate::relay::{Ipv4, RelayId};
 
 fn consensus_from_fps(fps: &[[u8; 20]]) -> Consensus {
@@ -278,6 +278,35 @@ impl EagerPublisher {
 }
 
 proptest! {
+    /// Replacing any one word of a stream always changes the word
+    /// digest behind `Network::state_hash`: every fold step and the
+    /// finish are bijections, so the difference survives to the end.
+    #[test]
+    fn word_digest_moves_with_any_one_word(
+        seed in any::<u64>(),
+        words in proptest::collection::vec(any::<u64>(), 1..80),
+        at in any::<usize>(),
+        flip in 1..u64::MAX,
+        bit in 0..64u32,
+    ) {
+        let digest = |words: &[u64]| {
+            let mut chain = WordChain::new(seed);
+            for &w in words {
+                chain.word(w);
+            }
+            chain.finish()
+        };
+        // A random replacement, and one that differs in a single bit:
+        // a random flip almost always sets bits in both halves of the
+        // word, so only the single-bit flip catches a fold that drops
+        // one half.
+        for delta in [flip, 1 << bit] {
+            let mut changed = words.clone();
+            changed[at % words.len()] ^= delta;
+            prop_assert_ne!(digest(&words), digest(&changed));
+        }
+    }
+
     /// The ring lookup returns exactly the 3 nearest successors, for
     /// arbitrary fingerprint sets and query points.
     #[test]

@@ -42,9 +42,16 @@ check_baseline() {
   echo "$4: matches $2"
 }
 
-# Per-stage counter lines of a bench_stages JSON, wall clock removed.
+# Per-stage counter lines and metric series (gauges, histograms) of a
+# bench_stages JSON, wall clock removed.
 strip_wall() {
-  sed 's/"wall_ms": [0-9.]*, //' "$1" | grep '"stage"'
+  sed 's/"wall_ms": [0-9.]*, //' "$1" | grep '"stage"\|"metric"'
+}
+
+# strip_wall without the wave.* series: the thread gauge and the shard
+# sizes follow the run's thread count; every other line does not.
+strip_wall_and_waves() {
+  strip_wall "$1" | grep -v '"metric": "wave\.'
 }
 
 # The run's start-to-finish elapsed_wall_ms in a bench_stages JSON.
@@ -143,8 +150,9 @@ fi
 if [ "${1:-}" = "study" ]; then
   # One traced seed-7 study at scale 0.03, run at 1 wave thread and at
   # HS_PAR_THREADS (default 4). Each run must reproduce byte for byte
-  # the committed report, the per-stage counters (any drift means the
-  # sim hot path lost determinism) and the sim-clock Chrome trace (a
+  # the committed report, the per-stage counters and metric series
+  # other than wave.* (any drift means the sim hot path lost
+  # determinism) and the sim-clock Chrome trace (a
   # pure function of seed and plan). Wall clocks are machine-relative
   # and only reported: the study's elapsed wall time at both thread
   # counts.
@@ -161,8 +169,8 @@ if [ "${1:-}" = "study" ]; then
       --trace trace.json > study.txt 2> study.log) \
       || fail "$T-thread study exited non-zero (see $OUT/study.log)"
     check_baseline cat results/par_study_baseline.txt "$OUT/study.txt" "$T-thread report"
-    check_baseline strip_wall results/bench_stages_baseline.json \
-      "$OUT/results/bench_stages.json" "$T-thread stage counters"
+    check_baseline strip_wall_and_waves results/bench_stages_baseline.json \
+      "$OUT/results/bench_stages.json" "$T-thread stage counters and metrics"
     grep -q "sim-clock trace written" "$OUT/study.log" || fail "trace export not reported"
     [ -s "$OUT/trace.json" ] || fail "empty trace at $OUT/trace.json"
     # Structural sanity without a JSON tool: balanced containers and
@@ -319,9 +327,9 @@ if [ "${1:-}" = "faults" ]; then
   # must complete (exit 0) with a *partial* report — the injected certs
   # failure degrades that stage, the flaky geomap stage recovers on
   # retry — and both the report and the stage counters (faults fired,
-  # retries absorbed, stages degraded) must match the committed
-  # baselines exactly: fault injection is deterministic, so any drift
-  # is a regression.
+  # retries absorbed, stages degraded) and metric series must match the
+  # committed baselines exactly: fault injection is deterministic, so
+  # any drift is a regression.
   BASELINE=results/bench_stages_faults_baseline.json
   cargo build --release -q -p hs-landscape --bin landscape
   LANDSCAPE="$(pwd)/target/release/landscape"
@@ -340,7 +348,7 @@ if [ "${1:-}" = "faults" ]; then
   grep -Eq '"fetch_drops": [1-9]' "$CURRENT" || fail "adversarial plan injected no fetch drops"
   grep -Eq '"relay_crashes": [1-9]' "$CURRENT" || fail "adversarial plan crashed no relays"
   check_baseline cat results/faults_study_baseline.txt "$RUN/faults_study.txt" "adversarial report"
-  check_baseline strip_wall "$BASELINE" "$CURRENT" "fault counters"
+  check_baseline strip_wall "$BASELINE" "$CURRENT" "fault counters and metrics"
   rm -rf "$RUN"
   echo "faults ok"
   exit 0
